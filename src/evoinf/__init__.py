@@ -11,14 +11,14 @@ from .errors import (EmptyGraph, EvoinfError, InsufficientSeeds,
                      UnknownNode)
 from .graph import (AddEdge, AddNode, AddWeight, Change, ChangeStream,
                     DecWeight, GraphBuilder, RemoveEdge, RemoveNode, Snapshot,
-                    apply_all, apply_change, cascade_node_removal,
+                    apply_all, cascade_node_removal,
                     decompose_weight_change, diff, read_change_stream,
                     write_change_stream)
 from .ingest import (FixedProb, TemporalEdge, TrivalencyProb,
                      load_temporal_edges, parse_prob_policy, snapshot_at)
 from .simulate import SpreadEstimate, exact_spread, simulate_spread
 from .localize import (LocalRegion, MaxInfluencePath, activation_prob,
-                       activation_table, local_region, mia_spread, mip)
+                       local_region, mia_spread, mip)
 from .select import (SeedResult, degree_select, greedy_select, mia_select,
                      random_select)
 from .incremental import (DeltaTable, EvolutionContext, PruneConfig,
@@ -40,9 +40,8 @@ __all__ = [
     "ParseError", "PreconditionViolation", "PruneConfig", "RemoveEdge",
     "RemoveNode", "ScenarioError", "SeedResult", "Snapshot", "SpreadEstimate",
     "TemporalEdge", "TooLarge", "TrivalencyProb", "UnknownNode",
-    "accumulate_deltas", "activation_prob", "activation_table", "apply_all",
-    "apply_change", "cascade_node_removal", "decompose_weight_change",
-    "degree_distribution",
+    "accumulate_deltas", "activation_prob", "apply_all",
+    "cascade_node_removal", "decompose_weight_change", "degree_distribution",
     "degree_ranks", "degree_select", "delta_add_edge", "delta_node",
     "delta_remove_edge", "diff", "exact_spread", "generate_evolving",
     "greedy_select", "growth_stats", "incinf_select",

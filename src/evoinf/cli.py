@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import analytics
 from .bench import parse_scenario, report_csv, report_json, run_benchmark
-from .errors import EvoinfError
+from .errors import EvoinfError, InvalidConfig
 from .generate import GenConfig, generate_evolving
 from .graph import (GraphBuilder, RemoveNode, Snapshot,
                     cascade_node_removal, diff, format_change,
@@ -346,11 +346,22 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _check_ranges(args) -> None:
+    theta = getattr(args, "theta", None)
+    if theta is not None and not (0.0 < theta < 1.0):
+        raise InvalidConfig(f"--theta must be in (0, 1), got {theta}")
+    for name in ("k", "runs"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise InvalidConfig(f"--{name} must be >= 1, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_ranges(args)
         return args.func(args)
-    except EvoinfError as exc:
+    except (EvoinfError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 1

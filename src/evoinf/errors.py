@@ -46,7 +46,7 @@ class InsufficientSeeds(EvoinfError):
 
 
 class InvalidConfig(EvoinfError):
-    """Generator configuration violates its invariants."""
+    """A configuration value (generator field or option) is out of range."""
 
 
 class ScenarioError(EvoinfError):

@@ -56,31 +56,15 @@ Change = Union[AddNode, RemoveNode, AddEdge, RemoveEdge, AddWeight, DecWeight]
 ChangeStream = list  # list[Change]; kept a plain list on purpose
 
 
-class Snapshot:
-    """Immutable directed graph with per-edge probabilities in (0, 1].
+class _ReadGraph:
+    """Read interface shared by Snapshot and GraphBuilder.
 
-    Out- and in-adjacency are exact mirrors. No self-loops, at most one edge
-    per ordered pair. `label` is the time index of the snapshot and is not
-    part of equality (two snapshots are equal iff nodes, edges and
-    probabilities coincide).
-
-    Instances may share adjacency dictionaries with the snapshots they were
-    derived from; nothing mutates them after construction, so they are safe
-    to read from any number of threads.
+    Subclasses hold mirrored out- and in-adjacency dicts (`_out`, `_in`) and
+    the per-node sorted-row caches (`_out_sorted`, `_in_sorted`); a mutating
+    subclass must drop a node's cached rows whenever it changes them.
     """
 
-    __slots__ = ("label", "_out", "_in", "_out_sorted", "_in_sorted")
-
-    def __init__(self, out: dict[int, dict[int, float]],
-                 inn: dict[int, dict[int, float]], label: int = 0):
-        # Internal constructor: callers must hand over consistent mirrors.
-        self._out = out
-        self._in = inn
-        self.label = label
-        # lazily built per-node rows sorted by descending probability; the
-        # path searches early-break on them
-        self._out_sorted: dict[int, list[tuple[int, float]]] = {}
-        self._in_sorted: dict[int, list[tuple[int, float]]] = {}
+    __slots__ = ()
 
     def sorted_row(self, u: int, direction: str) -> list[tuple[int, float]]:
         """(neighbor, prob) pairs sorted by descending prob, then node id."""
@@ -91,24 +75,6 @@ class Snapshot:
             row = sorted(raw.items(), key=lambda kv: (-kv[1], kv[0]))
             cache[u] = row
         return row
-
-    @classmethod
-    def build(cls, nodes: Iterable[int] = (),
-              edges: Iterable[tuple[int, int, float]] = (),
-              label: int = 0) -> "Snapshot":
-        """Validating constructor from node and (source, target, prob) lists."""
-        b = GraphBuilder()
-        for u in nodes:
-            b.apply(AddNode(u))
-        for u, v, p in edges:
-            if not b.has_node(u):
-                b.apply(AddNode(u))
-            if not b.has_node(v):
-                b.apply(AddNode(v))
-            b.apply(AddEdge(u, v, p))
-        return b.freeze(label)
-
-    # -- read interface (shared with GraphBuilder) --
 
     def has_node(self, u: int) -> bool:
         return u in self._out
@@ -155,6 +121,49 @@ class Snapshot:
     def __contains__(self, u: int) -> bool:
         return u in self._out
 
+
+class Snapshot(_ReadGraph):
+    """Immutable directed graph with per-edge probabilities in (0, 1].
+
+    Out- and in-adjacency are exact mirrors. No self-loops, at most one edge
+    per ordered pair. `label` is the time index of the snapshot and is not
+    part of equality (two snapshots are equal iff nodes, edges and
+    probabilities coincide).
+
+    Instances may share adjacency dictionaries with the snapshots they were
+    derived from; nothing mutates them after construction, so they are safe
+    to read from any number of threads.
+    """
+
+    __slots__ = ("label", "_out", "_in", "_out_sorted", "_in_sorted")
+
+    def __init__(self, out: dict[int, dict[int, float]],
+                 inn: dict[int, dict[int, float]], label: int = 0):
+        # Internal constructor: callers must hand over consistent mirrors.
+        self._out = out
+        self._in = inn
+        self.label = label
+        # lazily built per-node rows sorted by descending probability; the
+        # path searches early-break on them
+        self._out_sorted: dict[int, list[tuple[int, float]]] = {}
+        self._in_sorted: dict[int, list[tuple[int, float]]] = {}
+
+    @classmethod
+    def build(cls, nodes: Iterable[int] = (),
+              edges: Iterable[tuple[int, int, float]] = (),
+              label: int = 0) -> "Snapshot":
+        """Validating constructor from node and (source, target, prob) lists."""
+        b = GraphBuilder()
+        for u in nodes:
+            b.apply(AddNode(u))
+        for u, v, p in edges:
+            if not b.has_node(u):
+                b.apply(AddNode(u))
+            if not b.has_node(v):
+                b.apply(AddNode(v))
+            b.apply(AddEdge(u, v, p))
+        return b.freeze(label)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Snapshot):
             return NotImplemented
@@ -190,7 +199,7 @@ class Snapshot:
             raise AssertionError("in/out node sets differ")
 
 
-class GraphBuilder:
+class GraphBuilder(_ReadGraph):
     """Mutable working graph with the same read interface as Snapshot.
 
     Used for applying change streams efficiently (copy-on-write against a
@@ -214,16 +223,6 @@ class GraphBuilder:
         self._out_sorted: dict[int, list[tuple[int, float]]] = {}
         self._in_sorted: dict[int, list[tuple[int, float]]] = {}
 
-    def sorted_row(self, u: int, direction: str) -> list[tuple[int, float]]:
-        """Same contract as Snapshot.sorted_row; invalidated on mutation."""
-        cache = self._out_sorted if direction == "out" else self._in_sorted
-        row = cache.get(u)
-        if row is None:
-            raw = self._out[u] if direction == "out" else self._in[u]
-            row = sorted(raw.items(), key=lambda kv: (-kv[1], kv[0]))
-            cache[u] = row
-        return row
-
     def _invalidate_rows(self, u: int, v: int) -> None:
         self._out_sorted.pop(u, None)
         self._in_sorted.pop(v, None)
@@ -241,47 +240,6 @@ class GraphBuilder:
             self._in[u] = dict(self._in[u])
             self._owned_in.add(u)
         return self._in[u]
-
-    # -- read interface --
-
-    def has_node(self, u: int) -> bool:
-        return u in self._out
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self._out.get(u)
-        return row is not None and v in row
-
-    def prob(self, u: int, v: int) -> float:
-        row = self._out.get(u)
-        if row is None:
-            return 0.0
-        return row.get(v, 0.0)
-
-    def nodes(self) -> Iterator[int]:
-        return iter(self._out)
-
-    def out_neighbors(self, u: int) -> Mapping[int, float]:
-        return self._out[u]
-
-    def in_neighbors(self, u: int) -> Mapping[int, float]:
-        return self._in[u]
-
-    def out_degree(self, u: int) -> int:
-        return len(self._out[u])
-
-    def in_degree(self, u: int) -> int:
-        return len(self._in[u])
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self._out)
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(row) for row in self._out.values())
-
-    def __contains__(self, u: int) -> bool:
-        return u in self._out
 
     # -- mutation --
 
@@ -364,11 +322,6 @@ class GraphBuilder:
         self._owned_in = set()
         self._shared = True
         return snap
-
-
-def apply_change(g: Snapshot, c: Change) -> Snapshot:
-    """Apply a single change, returning a new snapshot (label preserved)."""
-    return apply_all(g, [c])
 
 
 def apply_all(g: Snapshot, changes: Iterable[Change]) -> Snapshot:

@@ -17,13 +17,12 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .errors import (EmptyGraph, InsufficientSeeds, PreconditionViolation,
-                     UnknownNode)
+from .errors import (EmptyGraph, InsufficientSeeds, InvalidConfig,
+                     PreconditionViolation, UnknownNode)
 from .graph import (AddEdge, AddNode, AddWeight, Change, ChangeStream,
                     DecWeight, GraphBuilder, RemoveEdge, RemoveNode, Snapshot,
                     apply_all, decompose_weight_change, diff)
-from .localize import (LocalRegion, activation_prob, bounded_region_members,
-                       local_region, mip, theta_floor)
+from .localize import bounded_region_members, local_region, mip, theta_floor
 from .select import MiaSelector, SeedResult, mia_select
 
 
@@ -42,10 +41,6 @@ class DeltaTable:
 
     def get(self, v: int) -> float:
         return self.values.get(v, 0.0)
-
-    @property
-    def touched(self) -> set[int]:
-        return {v for v, d in self.values.items() if d != 0.0}
 
     def add(self, v: int, delta: float) -> None:
         self.values[v] = self.values.get(v, 0.0) + delta
@@ -71,7 +66,7 @@ class PruneConfig:
 
     def __post_init__(self):
         if not (0.0 < self.eta <= 1.0):
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
+            raise InvalidConfig(f"eta must be in (0, 1], got {self.eta}")
 
 
 class EvolutionContext:
@@ -79,7 +74,8 @@ class EvolutionContext:
 
     Owns the working graph the delta kernels advance change by change, plus
     cached degree rankings for pruning. Weight changes are decomposed into
-    remove + re-add before delta processing, so only four kernels exist.
+    remove + re-add before delta processing, so the kernel stream carries
+    only four change types.
     """
 
     def __init__(self, g_old: Snapshot, g_new: Snapshot, stream: ChangeStream,
@@ -106,14 +102,6 @@ class EvolutionContext:
     def from_snapshots(cls, g_old: Snapshot, g_new: Snapshot
                        ) -> "EvolutionContext":
         return cls(g_old, g_new, diff(g_old, g_new), verify=False)
-
-    @property
-    def degrees_old(self) -> dict[int, int]:
-        return {u: self.g_old.out_degree(u) for u in self.g_old.nodes()}
-
-    @property
-    def degrees_new(self) -> dict[int, int]:
-        return {u: self.g_new.out_degree(u) for u in self.g_new.nodes()}
 
     @property
     def kernel_stream(self) -> ChangeStream:
@@ -167,41 +155,27 @@ class EvolutionContext:
         return got
 
 
-def _seed_factor(in_region, seed_set) -> float:
-    """1 - prob(root, S), evaluated over the root's in-arborescence."""
-    if not seed_set:
-        return 1.0
-    return 1.0 - activation_prob(in_region, seed_set)
+def _edge_gains(w, u: int, v: int, p: float, theta: float,
+                table: DeltaTable, sign: float) -> None:
+    """Spread gained by adding edge (u, v, p) to the working graph w.
 
-
-def delta_add_edge(ctx: EvolutionContext, change: AddEdge, seeds, theta: float,
-                   table: DeltaTable) -> DeltaTable:
-    """Spread deltas caused by one edge addition; advances the working graph.
-
-    The edge is ignored when its probability is below theta or not above the
-    probability of the best existing path between its endpoints. Otherwise
-    every node that reaches the source may gain: for each reachable
-    downstream node, either a brand-new above-theta path appears (full path
-    probability gained) or an existing one improves (difference gained),
-    scaled by how far the seed set is from already covering the target.
+    w must not hold the edge. The edge is ignored when its probability is
+    below theta or not above the probability of the best existing path
+    between its endpoints. Otherwise every node that reaches the source may
+    gain: for each reachable downstream node, either a brand-new
+    above-theta path appears (full path probability gained) or an existing
+    one improves (difference gained). Each gain is added to the table
+    multiplied by `sign`.
 
     Only pairs whose composite path i -> u -> v -> j clears theta can
     contribute, so the endpoint regions are explored only down to theta/p
     and filtered exactly afterwards.
     """
-    w = ctx.working
-    u, v, p = change.source, change.target, change.prob
-    if u == v or not w.has_node(u) or not w.has_node(v) or w.has_edge(u, v) \
-            or not (0.0 < p <= 1.0):
-        raise PreconditionViolation(change, "invalid edge addition")
-
     if p < theta:
-        w.apply(change)
-        return table
+        return
     existing = mip(w, u, v, theta)
     if existing is not None and p <= existing.prob:
-        w.apply(change)
-        return table
+        return
 
     floor = theta_floor(theta)
     theta_end = min(1.0, (theta / p) * (1.0 - 1e-9))
@@ -209,34 +183,25 @@ def delta_add_edge(ctx: EvolutionContext, change: AddEdge, seeds, theta: float,
     out_v = local_region(w, v, "out", theta_end).members
     pairs_i = sorted(i for i, e in in_u.items() if e[0] * p >= floor)
     pairs_j = sorted(j for j, e in out_v.items() if p * e[0] >= floor)
-    seed_set = frozenset(seeds)
 
-    if seed_set or len(pairs_i) > 8 * max(1, len(pairs_j)):
-        # per-target: the in-region of each target supplies both the old
-        # best-path probabilities and the seed coverage factor; also the
+    if len(pairs_i) > 8 * max(1, len(pairs_j)):
+        # per-target: old best paths read off each target's in-region; the
         # cheap side when far more nodes reach the source than leave the
         # target (hub sources)
-        target_set = frozenset(pairs_i)
+        source_set = frozenset(pairs_i)
         for j in pairs_j:
             pj = out_v[j][0]
-            if seed_set:
-                in_j = local_region(w, j, "in", theta)
-            else:
-                in_j = LocalRegion(j, "in", theta, bounded_region_members(
-                    w, j, "in", theta, target_set))
-            factor = _seed_factor(in_j, seed_set)
-            if factor == 0.0:
-                continue
+            in_j = bounded_region_members(w, j, "in", theta, source_set)
             for i in pairs_i:
                 cand = in_u[i][0] * p * pj
-                old = in_j.members.get(i)
+                old = in_j.get(i)
                 if old is None:
                     if cand >= floor:
-                        table.add(i, cand * factor)
+                        table.add(i, sign * cand)
                 else:
                     gain = cand - old[0]
                     if gain > 0.0:
-                        table.add(i, gain * factor)
+                        table.add(i, sign * gain)
     else:
         # per-source: old best paths read off each source's out-region,
         # explored only far enough to settle the target side
@@ -249,92 +214,43 @@ def delta_add_edge(ctx: EvolutionContext, change: AddEdge, seeds, theta: float,
                 old = out_i.get(j)
                 if old is None:
                     if cand >= floor:
-                        table.add(i, cand)
+                        table.add(i, sign * cand)
                 else:
                     gain = cand - old[0]
                     if gain > 0.0:
-                        table.add(i, gain)
+                        table.add(i, sign * gain)
+
+
+def delta_add_edge(ctx: EvolutionContext, change: AddEdge, theta: float,
+                   table: DeltaTable) -> DeltaTable:
+    """Spread deltas caused by one edge addition; advances the working graph.
+
+    The gains are those of `_edge_gains` on the graph before the addition.
+    """
+    w = ctx.working
+    u, v, p = change.source, change.target, change.prob
+    if u == v or not w.has_node(u) or not w.has_node(v) or w.has_edge(u, v) \
+            or not (0.0 < p <= 1.0):
+        raise PreconditionViolation(change, "invalid edge addition")
+    _edge_gains(w, u, v, p, theta, table, 1.0)
     w.apply(change)
     return table
 
 
-def delta_remove_edge(ctx: EvolutionContext, change: RemoveEdge, seeds,
-                      theta: float, table: DeltaTable) -> DeltaTable:
+def delta_remove_edge(ctx: EvolutionContext, change: RemoveEdge, theta: float,
+                      table: DeltaTable) -> DeltaTable:
     """Spread deltas caused by one edge removal; advances the working graph.
 
-    Mirror of the addition kernel: for every pair whose best path ran
-    through the removed edge, the loss is the old path probability minus the
-    best surviving alternative (zero if the alternative falls below theta).
+    Removing e from G loses exactly what adding e to G - e gains, so the
+    edge is removed first and the addition's gains are negated.
     """
     w = ctx.working
     u, v = change.source, change.target
     if not w.has_edge(u, v):
         raise PreconditionViolation(change, f"edge ({u},{v}) not present")
     p = w.prob(u, v)
-    if p < theta:
-        # no above-theta path can run through this edge
-        w.apply(change)
-        return table
-
-    floor = theta_floor(theta)
-    theta_end = min(1.0, (theta / p) * (1.0 - 1e-9))
-    in_u = local_region(w, u, "in", theta_end).members
-    out_v = local_region(w, v, "out", theta_end).members
-    # only pairs whose path through the edge cleared theta can lose anything
-    pairs_i = sorted(i for i, e in in_u.items() if e[0] * p >= floor)
-    pairs_j = sorted(j for j, e in out_v.items() if p * e[0] >= floor)
-
-    seed_set = frozenset(seeds)
-    per_target = bool(seed_set) or len(pairs_i) > 8 * max(1, len(pairs_j))
-    pre: dict[int, object] = {}
-    if per_target:
-        source_set = frozenset(pairs_i)
-        for j in pairs_j:
-            if seed_set:
-                pre[j] = local_region(w, j, "in", theta)
-            else:
-                pre[j] = LocalRegion(j, "in", theta, bounded_region_members(
-                    w, j, "in", theta, source_set))
-    else:
-        target_set = frozenset(pairs_j)
-        for i in pairs_i:
-            pre[i] = bounded_region_members(w, i, "out", theta, target_set)
-
     w.apply(change)
-
-    # detour check: if a surviving u -> v path is at least as good as the
-    # removed edge, no best path strictly needed it, and nothing changes
-    alt = mip(w, u, v, theta)
-    if alt is not None and alt.prob >= p:
-        return table
-
-    if per_target:
-        for j in pairs_j:
-            in_j = pre[j]
-            factor = _seed_factor(in_j, seed_set)
-            if factor == 0.0:
-                continue
-            post = bounded_region_members(w, j, "in", theta, source_set)
-            for i in pairs_i:
-                old = in_j.members.get(i)
-                if old is None:
-                    continue
-                new = post.get(i)
-                loss = old[0] - (new[0] if new is not None else 0.0)
-                if loss > 0.0:
-                    table.add(i, -loss * factor)
-    else:
-        for i in pairs_i:
-            old_out = pre[i]
-            post = bounded_region_members(w, i, "out", theta, target_set)
-            for j in pairs_j:
-                old = old_out.get(j)
-                if old is None:
-                    continue
-                new = post.get(j)
-                loss = old[0] - (new[0] if new is not None else 0.0)
-                if loss > 0.0:
-                    table.add(i, -loss)
+    _edge_gains(w, u, v, p, theta, table, -1.0)
     return table
 
 
@@ -361,14 +277,20 @@ def delta_node(ctx: EvolutionContext, change: Change,
 
 def accumulate_deltas(ctx: EvolutionContext, seeds, theta: float
                       ) -> DeltaTable:
-    """Fold the per-change kernels over the whole (decomposed) stream."""
+    """Fold the per-change kernels over the whole (decomposed) stream.
+
+    Deltas are standalone-spread changes: `seeds` must be empty.
+    """
+    if frozenset(seeds):
+        raise ValueError("seeded deltas are not supported; pass an empty "
+                         "seed set")
     ctx.reset()
     table = DeltaTable()
     for c in ctx.kernel_stream:
         if isinstance(c, AddEdge):
-            delta_add_edge(ctx, c, seeds, theta, table)
+            delta_add_edge(ctx, c, theta, table)
         elif isinstance(c, RemoveEdge):
-            delta_remove_edge(ctx, c, seeds, theta, table)
+            delta_remove_edge(ctx, c, theta, table)
         elif isinstance(c, (AddNode, RemoveNode)):
             delta_node(ctx, c, table)
         else:

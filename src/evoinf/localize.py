@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappush, heappop
-from typing import Iterable
 
 from .errors import UnknownNode
 
@@ -57,16 +56,6 @@ class LocalRegion:
 
     def parent_of(self, u: int) -> int | None:
         return self.members[u][1]
-
-    def children(self) -> dict[int, list[int]]:
-        """parent -> sorted children, for bottom-up tree evaluation."""
-        kids: dict[int, list[int]] = {u: [] for u in self.members}
-        for u, (_, parent, _) in self.members.items():
-            if parent is not None:
-                kids[parent].append(u)
-        for lst in kids.values():
-            lst.sort()
-        return kids
 
 
 def _log_cut(theta: float) -> tuple[float, float]:
@@ -228,35 +217,6 @@ def activation_prob(region: LocalRegion, seeds) -> float:
     return ap[root]
 
 
-def activation_table(region: LocalRegion, seeds) -> dict[int, float]:
-    """Activation probability of every region member, keyed by node."""
-    seed_set = seeds if isinstance(seeds, (set, frozenset)) else set(seeds)
-    kids = region.children()
-    # process children before parents: order by decreasing tree depth
-    depth: dict[int, int] = {}
-    for u in region.members:
-        d = 0
-        x = u
-        while True:
-            parent = region.members[x][1]
-            if parent is None:
-                break
-            x = parent
-            d += 1
-        depth[u] = d
-    ap: dict[int, float] = {}
-    for u in sorted(region.members, key=lambda n: (-depth[n], n)):
-        if u in seed_set:
-            ap[u] = 1.0
-            continue
-        fail = 1.0
-        for w in kids[u]:
-            edge_p = region.members[w][2]
-            fail *= 1.0 - ap[w] * edge_p
-        ap[u] = 1.0 - fail
-    return ap
-
-
 def region_weighted_sum(region: LocalRegion, ap: dict[int, float]) -> float:
     """Sum of member path probabilities discounted by activation probability.
 
@@ -288,32 +248,3 @@ def mia_spread(g, v: int, seeds, theta: float) -> float:
             if any(s in in_r.members for s in seed_set):
                 ap[j] = activation_prob(in_r, seed_set)
     return region_weighted_sum(region, ap)
-
-
-def passes_theta(prob: float, theta: float) -> bool:
-    """Theta cut with the same tolerance floor as the region search."""
-    return prob >= theta_floor(theta)
-
-
-def enumerate_simple_paths(g, u: int, v: int) -> Iterable[tuple[float, tuple]]:
-    """All simple u -> v paths with their probabilities.
-
-    Exhaustive; meant as a brute-force oracle on small graphs.
-    """
-    path = [u]
-    seen = {u}
-
-    def rec(x, prob):
-        if x == v:
-            yield prob, tuple(path)
-            return
-        for y, p in sorted(g._out[x].items()):
-            if y in seen:
-                continue
-            seen.add(y)
-            path.append(y)
-            yield from rec(y, prob * p)
-            path.pop()
-            seen.remove(y)
-
-    yield from rec(u, 1.0)

@@ -252,3 +252,66 @@ def test_cli_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "gen" in proc.stdout and "incinf" in proc.stdout
+
+
+@pytest.fixture()
+def tiny_streams(tmp_path):
+    streams = tmp_path / "net"
+    streams.mkdir()
+    (streams / "stream_0000.txt").write_text(
+        "AN 0\nAN 1\nAN 2\nAE 0 1 0.5\nAE 1 2 0.5\n")
+    (streams / "stream_0001.txt").write_text("AN 3\nAE 3 0 0.5\n")
+    return streams
+
+
+def error_record(capsys) -> dict:
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err
+    return json.loads(err)
+
+
+def test_cli_missing_edge_file_is_json_error(tmp_path, capsys):
+    assert run_cli("snapshot", "--edges", str(tmp_path / "absent.tsv"),
+                   "--at", "1") == 1
+    assert error_record(capsys)["error"] == "FileNotFoundError"
+
+
+def test_cli_missing_prev_seeds_file_is_json_error(tmp_path, tiny_streams,
+                                                   capsys):
+    assert run_cli("incinf", "--streams-old", str(tiny_streams),
+                   "--at-old", "0", "--streams-new", str(tiny_streams),
+                   "--at-new", "1", "--k", "1",
+                   "--prev-seeds", "@" + str(tmp_path / "absent.json")) == 1
+    assert error_record(capsys)["error"] == "FileNotFoundError"
+
+
+def test_cli_malformed_prev_seeds_file_is_json_error(tmp_path, tiny_streams,
+                                                     capsys):
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text("[0, 1")
+    assert run_cli("incinf", "--streams-old", str(tiny_streams),
+                   "--at-old", "0", "--streams-new", str(tiny_streams),
+                   "--at-new", "1", "--k", "1",
+                   "--prev-seeds", "@" + str(seeds)) == 1
+    assert error_record(capsys)["error"] == "JSONDecodeError"
+
+
+@pytest.mark.parametrize("case", [
+    "select --theta 0", "select --theta 1", "select --theta nan",
+    "select --k -2", "select --runs 0", "incinf --theta 0", "incinf --k 0",
+    "incinf --eta 0", "evaluate --runs 0",
+])
+def test_cli_rejects_out_of_range_options(tiny_streams, capsys, case):
+    command, *option = case.split()
+    graph = {
+        "select": ["--streams", str(tiny_streams), "--at", "1",
+                   "--algo", "mia", "--k", "1"],
+        "incinf": ["--streams-old", str(tiny_streams), "--at-old", "0",
+                   "--streams-new", str(tiny_streams), "--at-new", "1",
+                   "--prev-seeds", "0", "--k", "1"],
+        "evaluate": ["--streams", str(tiny_streams), "--at", "1",
+                     "--seeds", "0"],
+    }[command]
+    # argparse keeps the last occurrence of a repeated option
+    assert run_cli(command, *graph, *option) == 1
+    assert error_record(capsys)["error"] == "InvalidConfig"

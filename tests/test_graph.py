@@ -4,29 +4,29 @@ import pytest
 
 from evoinf import (AddEdge, AddNode, AddWeight, DecWeight,
                     PreconditionViolation, RemoveEdge, RemoveNode, Snapshot,
-                    apply_all, apply_change, decompose_weight_change, diff)
+                    apply_all, decompose_weight_change, diff)
 from conftest import random_graph, random_stream
 
 
 def test_add_node_to_empty_graph():
-    g = apply_change(Snapshot.build(), AddNode(0))
+    g = apply_all(Snapshot.build(), [AddNode(0)])
     assert g.num_nodes == 1 and g.num_edges == 0
     assert g.has_node(0) and not g.has_node(1)
 
 
 def test_add_weight_is_additive():
     g = Snapshot.build([0, 1])
-    g = apply_change(g, AddEdge(0, 1, 0.5))
-    g = apply_change(g, AddWeight(0, 1, 0.3))
+    g = apply_all(g, [AddEdge(0, 1, 0.5)])
+    g = apply_all(g, [AddWeight(0, 1, 0.3)])
     assert g.prob(0, 1) == 0.8
 
 
 def test_remove_node_requires_zero_degree():
     g = Snapshot.build([0, 1], [(0, 1, 0.5)])
     with pytest.raises(PreconditionViolation):
-        apply_change(g, RemoveNode(0))
-    g = apply_change(g, RemoveEdge(0, 1))
-    g = apply_change(g, RemoveNode(0))
+        apply_all(g, [RemoveNode(0)])
+    g = apply_all(g, [RemoveEdge(0, 1)])
+    g = apply_all(g, [RemoveNode(0)])
     assert not g.has_node(0) and g.has_node(1)
 
 
@@ -48,12 +48,12 @@ def test_precondition_violations():
     ]
     for c in cases:
         with pytest.raises(PreconditionViolation):
-            apply_change(g, c)
+            apply_all(g, [c])
 
 
 def test_apply_is_persistent():
     g = Snapshot.build([0, 1], [(0, 1, 0.5)])
-    g2 = apply_change(g, AddWeight(0, 1, 0.2))
+    g2 = apply_all(g, [AddWeight(0, 1, 0.2)])
     assert g.prob(0, 1) == 0.5
     assert g2.prob(0, 1) == 0.7
     g.audit()
@@ -64,12 +64,12 @@ def test_decompose_weight_change():
     g = Snapshot.build([0, 1], [(0, 1, 0.5)])
     pair = decompose_weight_change(g, AddWeight(0, 1, 0.2))
     assert pair == [RemoveEdge(0, 1), AddEdge(0, 1, 0.7)]
-    assert apply_all(g, pair) == apply_change(g, AddWeight(0, 1, 0.2))
+    assert apply_all(g, pair) == apply_all(g, [AddWeight(0, 1, 0.2)])
 
     g2 = Snapshot.build([0, 1], [(0, 1, 0.3)])
     pair = decompose_weight_change(g2, DecWeight(0, 1, 0.1))
     assert pair == [RemoveEdge(0, 1), AddEdge(0, 1, 0.3 - 0.1)]
-    assert apply_all(g2, pair) == apply_change(g2, DecWeight(0, 1, 0.1))
+    assert apply_all(g2, pair) == apply_all(g2, [DecWeight(0, 1, 0.1)])
 
     with pytest.raises(PreconditionViolation):
         decompose_weight_change(g, AddWeight(1, 0, 0.2))
@@ -90,7 +90,7 @@ def test_decompose_equals_direct_apply_randomized():
             if dw <= 0.0:
                 continue
             c = DecWeight(u, v, dw)
-        assert apply_all(g, decompose_weight_change(g, c)) == apply_change(g, c)
+        assert apply_all(g, decompose_weight_change(g, c)) == apply_all(g, [c])
 
 
 def test_diff_trivial_cases():
@@ -153,7 +153,7 @@ def test_cascade_node_removal():
 
 def test_structure_sharing_does_not_leak():
     g = Snapshot.build(range(100), [(i, i + 1, 0.5) for i in range(99)])
-    g2 = apply_change(g, AddWeight(3, 4, 0.1))
+    g2 = apply_all(g, [AddWeight(3, 4, 0.1)])
     # untouched rows are shared, touched ones are not
     assert g._out[50] is g2._out[50]
     assert g._out[3] is not g2._out[3]

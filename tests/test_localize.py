@@ -3,10 +3,64 @@ import random
 
 import pytest
 
-from evoinf import (Snapshot, UnknownNode, activation_prob, activation_table,
-                    local_region, mia_spread, mip)
-from evoinf.localize import enumerate_simple_paths, passes_theta
+from evoinf import (Snapshot, UnknownNode, activation_prob, local_region,
+                    mia_spread, mip)
+from evoinf.localize import theta_floor
 from conftest import random_graph
+
+
+# -- brute-force oracles --
+
+def enumerate_simple_paths(g, u, v):
+    """All simple u -> v paths with their probabilities."""
+    path = [u]
+    seen = {u}
+
+    def rec(x, prob):
+        if x == v:
+            yield prob, tuple(path)
+            return
+        for y, p in sorted(g.out_neighbors(x).items()):
+            if y in seen:
+                continue
+            seen.add(y)
+            path.append(y)
+            yield from rec(y, prob * p)
+            path.pop()
+            seen.remove(y)
+
+    yield from rec(u, 1.0)
+
+
+def activation_table(region, seeds):
+    """Activation probability of every region member, by a full bottom-up
+    pass over the in-arborescence."""
+    members = region.members
+    kids = {u: [] for u in members}
+    for u, (_, parent, _) in members.items():
+        if parent is not None:
+            kids[parent].append(u)
+    for lst in kids.values():
+        lst.sort()
+    # process children before parents: order by decreasing tree depth
+    depth = {}
+    for u in members:
+        d = 0
+        x = u
+        while members[x][1] is not None:
+            x = members[x][1]
+            d += 1
+        depth[u] = d
+    ap = {}
+    for u in sorted(members, key=lambda n: (-depth[n], n)):
+        if u in seeds:
+            ap[u] = 1.0
+            continue
+        fail = 1.0
+        for w in kids[u]:
+            fail *= 1.0 - ap[w] * members[w][2]
+        ap[u] = 1.0 - fail
+    return ap
 
 
 def test_mip_chain_product():
@@ -207,6 +261,7 @@ def test_theta_boundary_is_inclusive():
     g = Snapshot.build([0, 1, 2], [(0, 1, 0.1), (1, 2, 0.1)])
     r = local_region(g, 0, "out", 0.01)
     assert 2 in r.members
-    assert passes_theta(0.1 * 0.1, 0.01)
-    assert passes_theta(0.01, 0.01)
-    assert not passes_theta(0.00999, 0.01)
+    floor = theta_floor(0.01)
+    assert 0.1 * 0.1 >= floor
+    assert 0.01 >= floor
+    assert 0.00999 < floor
