@@ -82,13 +82,24 @@ def _emit(args, text: str) -> None:
             sys.stdout.write("\n")
 
 
-def _parse_seed_list(spec: str) -> list[int]:
+def _parse_seed_list(spec: str | None, option: str) -> list[int]:
+    """Node ids from `a,b,c`, or from `@FILE` holding a JSON list of ids or
+    an object with a `seeds` list (what `select --out` writes)."""
+    if spec is None:
+        raise InvalidConfig(f"--{option} is required")
     if spec.startswith("@"):
-        payload = json.loads(Path(spec[1:]).read_text(encoding="utf-8"))
-        if isinstance(payload, dict):
-            return [int(s) for s in payload["seeds"]]
-        return [int(s) for s in payload]
-    return [int(s) for s in spec.split(",") if s.strip()]
+        items = json.loads(Path(spec[1:]).read_text(encoding="utf-8"))
+        items = items.get("seeds") if isinstance(items, dict) else items
+    else:
+        items = [s for s in spec.split(",") if s.strip()]
+    # int() would truncate a float and accept a bool without complaint
+    if isinstance(items, list) and all(type(s) in (int, str) for s in items):
+        try:
+            return [int(s) for s in items]
+        except ValueError:
+            pass
+    raise InvalidConfig(f"--{option} must be node ids a,b,c or @FILE with "
+                        f"a JSON list or a 'seeds' list, got {spec!r}")
 
 
 def _write_edge_list(g: Snapshot, path: Path) -> None:
@@ -175,7 +186,7 @@ def cmd_incinf(args) -> int:
     else:
         g_new = _load_graph(args, "_new")
         ctx = EvolutionContext.from_snapshots(g_old, g_new)
-    prev = _parse_seed_list(args.prev_seeds)
+    prev = _parse_seed_list(args.prev_seeds, "prev-seeds")
     cfg = PruneConfig(args.eta, prev)
     res = incinf_select(ctx, prev, args.k, args.theta, cfg,
                         prune_enabled=not args.no_prune, pad=args.pad)
@@ -189,7 +200,7 @@ def cmd_incinf(args) -> int:
 
 def cmd_evaluate(args) -> int:
     g = _load_graph(args)
-    seeds = _parse_seed_list(args.seeds)
+    seeds = _parse_seed_list(args.seeds, "seeds")
     est = simulate_spread(g, seeds, args.runs, args.seed)
     _emit(args, json.dumps({"mean": est.mean, "std_error": est.std_error,
                             "runs": est.runs}, indent=2))
@@ -224,7 +235,7 @@ def cmd_analyze(args) -> int:
                      for l, n, e in analytics.growth_stats(snaps))
     else:  # rank
         g = _load_graph(args)
-        seeds = _parse_seed_list(args.seeds)
+        seeds = _parse_seed_list(args.seeds, "seeds")
         ranks = analytics.influence_degree_rank(g, seeds,
                                                 kind=args.degree_kind)
         lines.append("seed,degree_rank")

@@ -135,7 +135,7 @@ class Snapshot(_ReadGraph):
     to read from any number of threads.
     """
 
-    __slots__ = ("label", "_out", "_in", "_out_sorted", "_in_sorted")
+    __slots__ = ("label", "_out", "_in", "_out_sorted", "_in_sorted", "_reach")
 
     def __init__(self, out: dict[int, dict[int, float]],
                  inn: dict[int, dict[int, float]], label: int = 0):
@@ -147,6 +147,7 @@ class Snapshot(_ReadGraph):
         # path searches early-break on them
         self._out_sorted: dict[int, list[tuple[int, float]]] = {}
         self._in_sorted: dict[int, list[tuple[int, float]]] = {}
+        self._reach = None  # evoinf.simulate's kernel, built on first use
 
     @classmethod
     def build(cls, nodes: Iterable[int] = (),

@@ -5,6 +5,7 @@ node with the largest estimated marginal spread. Estimates reuse one fixed
 set of live-edge samples for the whole selection, which makes the estimated
 objective genuinely monotone and submodular, so the lazy (priority-queue)
 evaluation provably selects the same sequence as exhaustive re-evaluation.
+They are `simulate_spread`'s runs, redrawn per estimate, never stored.
 
 `mia_select` ranks nodes by localized spread over theta-truncated regions
 and discounts nodes already covered by chosen seeds.
@@ -17,12 +18,11 @@ import time
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
 
-import numpy as np
-
 from .errors import EmptyGraph
 from .graph import Snapshot
 from .localize import (LocalRegion, activation_prob, local_region,
                        region_weighted_sum)
+from .simulate import _check_runs, _kernel
 
 
 @dataclass
@@ -56,38 +56,19 @@ def _check_nonempty(g: Snapshot):
 
 
 class LiveEdgeEstimator:
-    """Spread estimator over one fixed set of live-edge draws.
+    """Spread estimator over one fixed set of live-edge samples.
 
-    sigma(S) is the mean, over the drawn samples, of the node count
-    reachable from S. For fixed samples that function is monotone and
-    submodular exactly, and estimates are cached per seed set so every
-    caller sees identical floats.
+    sigma(S) equals `simulate_spread(g, S, runs, master_seed).mean`. For
+    fixed samples that function is monotone and submodular exactly, and
+    estimates are cached per seed set so every caller sees identical
+    floats. Coins are redrawn per call, so memory is O(n + m).
     """
 
-    def __init__(self, g: Snapshot, runs: int, master_seed: int,
-                 chunk_cells: int = 20_000_000):
+    def __init__(self, g: Snapshot, runs: int, master_seed: int):
+        _check_runs(runs)
         self.runs = runs
-        self.n = g.num_nodes
-        self._nodes = sorted(g.nodes())
-        self._index = {u: i for i, u in enumerate(self._nodes)}
-        edge_list = sorted(g.edges())
-        m = len(edge_list)
-        self._src = np.array([self._index[u] for u, _, _ in edge_list],
-                             dtype=np.int64)
-        self._dst = np.array([self._index[v] for _, v, _ in edge_list],
-                             dtype=np.int64)
-        probs = np.array([p for _, _, p in edge_list])
-        rng = np.random.Generator(np.random.Philox(key=master_seed))
-        self._chunks: list[np.ndarray] = []
-        rows_per_chunk = max(1, chunk_cells // max(m, 1))
-        done = 0
-        while done < runs:
-            rows = min(rows_per_chunk, runs - done)
-            if m:
-                self._chunks.append(rng.random((rows, m)) < probs)
-            else:
-                self._chunks.append(np.zeros((rows, 0), dtype=bool))
-            done += rows
+        self.master_seed = master_seed
+        self._kernel = _kernel(g)
         self._cache: dict[frozenset, float] = {}
 
     def sigma(self, seed_set: frozenset) -> float:
@@ -97,24 +78,8 @@ class LiveEdgeEstimator:
         if not seed_set:
             self._cache[seed_set] = 0.0
             return 0.0
-        seed_idx = np.array(sorted(self._index[s] for s in seed_set),
-                            dtype=np.int64)
-        total = 0
-        for live in self._chunks:
-            rows = live.shape[0]
-            active = np.zeros((rows, self.n), dtype=bool)
-            active[:, seed_idx] = True
-            changed = True
-            while changed:
-                changed = False
-                for e in range(live.shape[1]):
-                    new = (live[:, e] & active[:, self._src[e]]
-                           & ~active[:, self._dst[e]])
-                    if new.any():
-                        active[:, self._dst[e]] |= new
-                        changed = True
-            total += int(active.sum())
-        val = total / self.runs
+        counts = self._kernel.counts(seed_set, self.runs, self.master_seed)
+        val = int(counts.sum()) / self.runs
         self._cache[seed_set] = val
         return val
 

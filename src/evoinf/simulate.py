@@ -3,27 +3,32 @@
 `simulate_spread` is the Monte-Carlo estimator; `exact_spread` enumerates
 live-edge subsets and is kept deliberately independent of the simulation
 code paths so the two can verify each other.
+
+A cascade with fixed edge coins is reachability over one live-edge sample
+(Kempe, Kleinberg, Tardos, KDD 2003); `_ReachKernel` computes it for
+`simulate_spread` and greedy's `LiveEdgeEstimator`. Edge (u, v) is live in
+run r iff a SplitMix64 hash of (master_seed mod 2^64, r, u, v), read as a
+uniform in [0, 1), is below p(u, v). So each run is a pure function of
+(master_seed, r), whatever the chunking or adjacency order, and a fixed
+master seed is a fixed set of live-edge samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import TooLarge, UnknownNode
+from .errors import InvalidConfig, TooLarge, UnknownNode
 from .graph import Snapshot
 
-# Runs are simulated in one of two regimes. Small graphs use a vectorized
-# live-edge formulation where run r consumes row r of a single counter-based
-# uniform stream; large graphs simulate cascades run by run, each run with
-# its own generator keyed by (master_seed, run index). Both make every run a
-# pure function of (master_seed, r), so the estimate does not depend on
-# execution order or how runs are partitioned.
-_BATCH_MAX_EDGES = 64
-_BATCH_MAX_NODES = 256
-_CHUNK_CELLS = 20_000_000
+# Runs advance in chunks of rows with rows * (nodes + edges) <= 2^18: that
+# bounds the marks and every frontier array (a step expands each (run, edge)
+# pair at most once). 2^20 was faster on 100k nodes but raised the peak of
+# 10,000-run evaluations on 200 nodes from ~1 MB to ~3.5 MB.
+_CHUNK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -42,26 +47,27 @@ def _validate_seeds(g: Snapshot, seeds) -> list[int]:
     return sorted(set(out))
 
 
+def _check_runs(runs: int) -> None:
+    if runs < 1:
+        raise InvalidConfig(f"runs must be >= 1, got {runs}")
+
+
 def simulate_spread(g: Snapshot, seeds, runs: int, master_seed: int
                     ) -> SpreadEstimate:
     """Mean activated-node count over `runs` independent cascades from seeds.
 
     Each newly activated node gets a single chance to activate each of its
     currently inactive out-neighbors, succeeding with the edge probability.
-    Deterministic for fixed (g, seeds, runs, master_seed).
+    Deterministic for fixed (g, seeds, runs, master_seed); the first R runs
+    are the same for every runs >= R.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    _check_runs(runs)
     seed_list = _validate_seeds(g, seeds)
     if not seed_list:
         return SpreadEstimate(0.0, 0.0, runs)
 
-    if g.num_edges <= _BATCH_MAX_EDGES and g.num_nodes <= _BATCH_MAX_NODES:
-        counts = _batch_counts(g, seed_list, runs, master_seed)
-    else:
-        counts = _cascade_counts(g, seed_list, runs, master_seed)
-
-    mean = float(np.mean(counts))
+    counts = _kernel(g).counts(seed_list, runs, master_seed)
+    mean = int(counts.sum()) / runs
     if runs > 1:
         std_error = float(np.std(counts, ddof=1) / math.sqrt(runs))
     else:
@@ -69,84 +75,98 @@ def simulate_spread(g: Snapshot, seeds, runs: int, master_seed: int
     return SpreadEstimate(mean, std_error, runs)
 
 
-def _batch_counts(g: Snapshot, seeds: list[int], runs: int,
-                  master_seed: int) -> np.ndarray:
-    """Vectorized live-edge evaluation; run r uses stream row r."""
-    nodes = sorted(g.nodes())
-    index = {u: i for i, u in enumerate(nodes)}
-    edge_list = sorted(g.edges())
-    n, m = len(nodes), len(edge_list)
-    src = np.array([index[u] for u, _, _ in edge_list], dtype=np.int64)
-    dst = np.array([index[v] for _, v, _ in edge_list], dtype=np.int64)
-    probs = np.array([p for _, _, p in edge_list])
-    seed_idx = np.array([index[s] for s in seeds], dtype=np.int64)
-
-    rng = np.random.Generator(np.random.Philox(key=master_seed))
-    counts = np.empty(runs, dtype=np.int64)
-    done = 0
-    chunk_rows = max(1, _CHUNK_CELLS // max(m, 1))
-    while done < runs:
-        rows = min(chunk_rows, runs - done)
-        if m:
-            live = rng.random((rows, m)) < probs
-        else:
-            live = np.zeros((rows, 0), dtype=bool)
-        counts[done:done + rows] = _reach_counts(live, src, dst, seed_idx, n)
-        done += rows
-    return counts
+def _mix(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, in place on a uint64 array; returns x."""
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
 
 
-def _reach_counts(live: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                  seed_idx: np.ndarray, n: int) -> np.ndarray:
-    """Per-row count of nodes reachable from seeds over live edges."""
-    rows = live.shape[0]
-    active = np.zeros((rows, n), dtype=bool)
-    active[:, seed_idx] = True
-    m = live.shape[1]
-    changed = True
-    while changed:
-        changed = False
-        for e in range(m):
-            new = live[:, e] & active[:, src[e]] & ~active[:, dst[e]]
-            if new.any():
-                active[:, dst[e]] |= new
-                changed = True
-    return active.sum(axis=1)
+def _kernel(g: Snapshot) -> _ReachKernel:
+    """g's kernel; a Snapshot never changes, so it keeps it for later calls
+    (`evoinf bench` evaluates each snapshot once per algorithm)."""
+    if not isinstance(g, Snapshot):
+        return _ReachKernel(g)
+    if g._reach is None:
+        g._reach = _ReachKernel(g)
+    return g._reach
 
 
-def _cascade_counts(g: Snapshot, seeds: list[int], runs: int,
-                    master_seed: int) -> np.ndarray:
-    """Run-by-run cascade simulation with per-run keyed generators."""
-    targets: dict[int, np.ndarray] = {}
-    probs: dict[int, np.ndarray] = {}
-    for u in g.nodes():
-        row = g.out_neighbors(u)
-        if row:
-            items = sorted(row.items())
-            targets[u] = np.array([v for v, _ in items], dtype=np.int64)
-            probs[u] = np.array([p for _, p in items])
+class _ReachKernel:
+    """Live-edge reachability over a CSR out-adjacency in ascending node id
+    order. Edge (u, v) has key mix(mix(u) ^ v), run r of master seed s has
+    key mix(mix(s) ^ r), and their coin is mix(run key ^ edge key)."""
 
-    counts = np.empty(runs, dtype=np.int64)
-    for r in range(runs):
-        rng = np.random.Generator(np.random.Philox(key=[master_seed, r]))
-        active = set(seeds)
-        frontier = list(seeds)
-        while frontier:
-            nxt = []
-            for u in frontier:
-                tg = targets.get(u)
-                if tg is None:
-                    continue
-                draws = rng.random(len(tg))
-                hit = draws < probs[u]
-                for k in np.flatnonzero(hit):
-                    v = int(tg[k])
-                    if v not in active:
-                        active.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        counts[r] = len(active)
-    return counts
+    def __init__(self, g: Snapshot):
+        self._ids = np.sort(np.fromiter(g.nodes(), np.int64, g.num_nodes))
+        rows = [g.out_neighbors(u) for u in self._ids.tolist()]
+        self._deg = np.fromiter(map(len, rows), np.int64, len(rows))
+        self._start = np.cumsum(self._deg) - self._deg
+        dst = np.fromiter(chain.from_iterable(rows), np.int64)
+        prob = np.fromiter(chain.from_iterable(r.values() for r in rows),
+                           np.float64)
+        self._dst = self._rows_of(dst)
+        # the coin's top 53 bits h give the uniform h / 2^53, which is
+        # below p iff h < ceil(p * 2^53), exact in float64
+        self._thr = np.ceil(prob * 2.0 ** 53).astype(np.uint64)
+        src = _mix(np.repeat(self._ids, self._deg).astype(np.uint64))
+        self._edge_key = _mix(src ^ dst.astype(np.uint64))
+
+    def _rows_of(self, ids: np.ndarray) -> np.ndarray:
+        """Row of each node id; UnknownNode for an id not in the graph."""
+        rows = np.searchsorted(self._ids, ids)
+        if ids.size and (rows.max() >= self._ids.size
+                         or (self._ids[rows] != ids).any()):
+            raise UnknownNode(f"node ids {ids.tolist()} not all in graph")
+        return rows
+
+    def counts(self, seeds, runs: int, master_seed: int) -> np.ndarray:
+        """Per-run count of nodes reachable from `seeds` (distinct node
+        ids) over the live edges of runs 0 .. runs-1."""
+        seed_rows = self._rows_of(np.fromiter(seeds, np.int64))
+        seed_key = _mix(np.array([int(master_seed) % 2 ** 64], np.uint64))
+        chunk = max(1, _CHUNK_CELLS // (self._ids.size + self._dst.size))
+        out = np.empty(runs, dtype=np.int64)
+        for lo in range(0, runs, chunk):
+            hi = min(lo + chunk, runs)
+            run_key = _mix(seed_key ^ np.arange(lo, hi, dtype=np.uint64))
+            out[lo:hi] = self._chunk_counts(run_key, seed_rows)
+        return out
+
+    def _chunk_counts(self, run_key: np.ndarray,
+                      seed_rows: np.ndarray) -> np.ndarray:
+        """Frontier BFS that advances all runs of one chunk together.
+
+        Cell run * n + node has mark -1 until reached; a new cell's mark is
+        its frontier position, and keeping only the cells whose mark is
+        their own position drops repeats in O(len) without a sort.
+        """
+        n, rows = self._ids.size, run_key.size
+        cells = (np.arange(rows)[:, None] * n + seed_rows).ravel()
+        mark = np.full(rows * n, -1, dtype=np.int32)
+        mark[cells] = 0
+        while cells.size:
+            run, u = np.divmod(cells, n)
+            deg = self._deg[u]
+            # CSR positions of every out-edge of every frontier cell
+            end = np.cumsum(deg)
+            edge = np.repeat(self._start[u] - end + deg, deg)
+            edge += np.arange(end[-1])
+            run = np.repeat(run, deg)
+            coin = run_key[run]
+            coin ^= self._edge_key[edge]
+            _mix(coin)
+            coin >>= np.uint64(11)
+            live = coin < self._thr[edge]
+            cells = run[live] * n + self._dst[edge[live]]
+            cells = cells[mark[cells] < 0]
+            pos = np.arange(cells.size, dtype=np.int32)
+            mark[cells] = pos
+            cells = cells[mark[cells] == pos]
+        return np.count_nonzero(mark.reshape(rows, n) >= 0, axis=1)
 
 
 def exact_spread(g: Snapshot, seeds) -> float:

@@ -315,3 +315,32 @@ def test_cli_rejects_out_of_range_options(tiny_streams, capsys, case):
     # argparse keeps the last occurrence of a repeated option
     assert run_cli(command, *graph, *option) == 1
     assert error_record(capsys)["error"] == "InvalidConfig"
+
+
+@pytest.mark.parametrize("command, option, spec", [
+    ("incinf", "--prev-seeds", "a,b"),
+    ("incinf", "--prev-seeds", "@object"),
+    ("incinf", "--prev-seeds", "@floats"),
+    ("evaluate", "--seeds", "x"),
+    ("analyze", None, None),
+])
+def test_cli_malformed_seed_list_is_json_error(tmp_path, tiny_streams,
+                                               capsys, command, option,
+                                               spec):
+    (tmp_path / "object").write_text('{"algorithm": "mia"}')
+    (tmp_path / "floats").write_text("[0.5]")
+    if spec and spec.startswith("@"):
+        spec = "@" + str(tmp_path / spec[1:])
+    graph = {
+        "incinf": ["incinf", "--streams-old", str(tiny_streams),
+                   "--at-old", "0", "--streams-new", str(tiny_streams),
+                   "--at-new", "1", "--k", "1"],
+        "evaluate": ["evaluate", "--streams", str(tiny_streams),
+                     "--at", "1"],
+        # rank reads --seeds, which the other analyses do not need
+        "analyze": ["analyze", "rank", "--streams", str(tiny_streams),
+                    "--at", "1"],
+    }[command]
+    extra = [option, spec] if option else []
+    assert run_cli(*graph, *extra) == 1
+    assert error_record(capsys)["error"] == "InvalidConfig"

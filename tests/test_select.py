@@ -1,10 +1,12 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
-from evoinf import (EmptyGraph, Snapshot, degree_select, exact_spread,
-                    greedy_select, mia_select, mia_spread, random_select)
+from evoinf import (EmptyGraph, InvalidConfig, Snapshot, degree_select,
+                    exact_spread, greedy_select, mia_select, mia_spread,
+                    random_select, simulate_spread)
 from evoinf.select import LiveEdgeEstimator
 from conftest import random_graph
 
@@ -51,6 +53,41 @@ def test_greedy_lazy_equals_naive_under_shared_estimator():
         naive = greedy_select(g, 5, 300, 17 + trial, lazy=False, estimator=est)
         assert lazy.seeds == naive.seeds, trial
         assert lazy.marginal_gains == naive.marginal_gains
+
+
+def test_greedy_rejects_runs_below_one():
+    g = star(0.5)
+    with pytest.raises(InvalidConfig):
+        greedy_select(g, 1, 0, 0)
+    with pytest.raises(InvalidConfig):
+        LiveEdgeEstimator(g, -1, 0)
+
+
+def test_estimator_samples_are_simulate_spread_runs():
+    rng = random.Random(71)
+    g = random_graph(rng, 40, 2.0)
+    est = LiveEdgeEstimator(g, 700, 23)
+    for seeds in ({0}, {1, 7}, {2, 3, 30}):
+        assert est.sigma(frozenset(seeds)) == \
+            simulate_spread(g, seeds, 700, 23).mean
+
+
+def test_estimator_memory_does_not_grow_with_runs_times_edges():
+    # storing one bool per run per edge would take 3000 * ~8000 = 24 MB
+    rng = random.Random(9)
+    g = random_graph(rng, 1000, 8.0, prob_low=0.01, prob_high=0.1)
+    runs, bound = 3000, 4_000_000
+    assert runs * g.num_edges > 5 * bound
+    tracemalloc.start()
+    try:
+        est = LiveEdgeEstimator(g, runs, 4)
+        after_init = tracemalloc.get_traced_memory()[1]
+        assert after_init < bound, after_init
+        assert est.sigma(frozenset({0, 1, 2})) >= 3.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, peak
 
 
 def test_greedy_deterministic():

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from evoinf import (Snapshot, TooLarge, UnknownNode, exact_spread,
-                    simulate_spread)
+from evoinf import (InvalidConfig, Snapshot, TooLarge, UnknownNode,
+                    exact_spread, simulate_spread)
+from evoinf import simulate
 from conftest import random_graph
 
 
@@ -57,9 +58,46 @@ def test_determinism_bit_identical():
     assert a.mean != c.mean  # different master seed, different draws
 
 
+def test_runs_below_one_rejected():
+    g = chain([0.5])
+    for runs in (0, -3):
+        with pytest.raises(InvalidConfig):
+            simulate_spread(g, {0}, runs, 1)
+
+
+def test_runs_are_a_prefix_whatever_the_chunking(monkeypatch):
+    rng = random.Random(41)
+    g = random_graph(rng, 300, 3.0)
+    per_chunk = simulate._CHUNK_CELLS // (g.num_nodes + g.num_edges)
+    long_runs = 2 * per_chunk + 77
+    kernel = simulate._ReachKernel(g)
+    full = kernel.counts([0, 5, 9], long_runs, 8)
+    prefix = kernel.counts([0, 5, 9], per_chunk + 13, 8)
+    assert full[:len(prefix)].tolist() == prefix.tolist()
+    # the same runs in chunks of a handful of rows
+    monkeypatch.setattr(simulate, "_CHUNK_CELLS", 5 * (g.num_nodes
+                                                       + g.num_edges))
+    assert kernel.counts([0, 5, 9], long_runs, 8).tolist() == full.tolist()
+    assert full.min() >= 3 and full.max() > 3
+
+
+def test_insertion_order_does_not_change_results():
+    rng = random.Random(12)
+    g = random_graph(rng, 150, 2.5)
+    nodes = sorted(g.nodes())
+    edges = sorted(g.edges())
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    h = Snapshot.build(nodes, edges)
+    assert h == g and list(h.nodes()) != list(g.nodes())
+    for seeds in ({0}, {3, 40, 99}):
+        assert simulate_spread(h, seeds, 3000, 6) == \
+            simulate_spread(g, seeds, 3000, 6)
+
+
 def test_lazy_regime_matches_analytic_value():
-    # a graph over the node cap forces the run-by-run cascade path; on a
-    # long chain the expected spread is a plain geometric series
+    # on a 400-node chain with p = 0.3 the expected spread from its head is
+    # the geometric series sum_k 0.3^k
     g = Snapshot.build(range(400), [(i, i + 1, 0.3) for i in range(399)])
     est = simulate_spread(g, {0}, 30_000, 5)
     expected = sum(0.3 ** k for k in range(400))
