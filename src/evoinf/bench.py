@@ -63,13 +63,20 @@ def parse_scenario(path) -> Scenario:
             key, value = text.split("=", 1)
             raw[key.strip()] = value.strip()
 
+    read: set[str] = set()
+
+    def get(key: str, default=None) -> str | None:
+        read.add(key)
+        return raw.get(key, default)
+
     def need(key: str) -> str:
-        if key not in raw:
+        val = get(key)
+        if val is None:
             raise ScenarioError(key, "missing")
-        return raw[key]
+        return val
 
     def geti(key: str, default=None) -> int:
-        val = raw.get(key)
+        val = get(key)
         if val is None:
             if default is None:
                 raise ScenarioError(key, "missing")
@@ -80,7 +87,7 @@ def parse_scenario(path) -> Scenario:
             raise ScenarioError(key, f"not an integer: {val!r}")
 
     def getf(key: str, default=None) -> float:
-        val = raw.get(key)
+        val = get(key)
         if val is None:
             if default is None:
                 raise ScenarioError(key, "missing")
@@ -111,6 +118,11 @@ def parse_scenario(path) -> Scenario:
         raise ScenarioError("k", "must be >= 1")
     if not (0.0 < sc.theta < 1.0):
         raise ScenarioError("theta", "must be in (0, 1)")
+    if not (0.0 < sc.eta <= 1.0):
+        raise ScenarioError("eta", "must be in (0, 1]")
+    for key in ("eval_runs", "select_runs"):
+        if getattr(sc, key) < 1:
+            raise ScenarioError(key, "must be >= 1")
 
     if "gen.n0" in raw:
         sc.gen = GenConfig(
@@ -118,7 +130,7 @@ def parse_scenario(path) -> Scenario:
             steps=geti("gen.steps"),
             nodes_per_step=geti("gen.nodes_per_step"),
             m=geti("gen.m"),
-            prob_policy=raw.get("gen.prob_policy", "trivalency"),
+            prob_policy=get("gen.prob_policy", "trivalency"),
             master_seed=geti("gen.seed", 0),
             extra_edge_fraction=getf("gen.extra_edge_fraction", 0.0),
             remove_edge_fraction=getf("gen.remove_edge_fraction", 0.0),
@@ -134,12 +146,19 @@ def parse_scenario(path) -> Scenario:
             raise ScenarioError("snapshot_times", f"bad list: {times!r}")
         if len(sc.snapshot_times) < 2:
             raise ScenarioError("snapshot_times", "need at least two times")
-        sc.prob_policy = raw.get("prob_policy", "trivalency")
+        sc.prob_policy = get("prob_policy", "trivalency")
         sc.prob_seed = geti("prob_seed", 0)
-        sc.undirected = raw.get("undirected", "false").lower() == "true"
+        undirected = get("undirected", "false").lower()
+        if undirected not in ("true", "false"):
+            raise ScenarioError("undirected", "must be true or false")
+        sc.undirected = undirected == "true"
     else:
         raise ScenarioError("gen.n0/edges_file",
                             "scenario needs a gen.* block or an edges_file")
+    unread = sorted(set(raw) - read)
+    if unread:
+        raise ScenarioError(unread[0], "unknown key, or not used by this "
+                            "scenario")
     return sc
 
 

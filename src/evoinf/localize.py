@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from heapq import heappush, heappop
 
-from .errors import UnknownNode
+from .errors import InvalidConfig, UnknownNode
 
 # members map: node -> (prob, parent, edge_prob)
 #   prob      product of edge probabilities along the tree path
@@ -58,6 +58,11 @@ class LocalRegion:
         return self.members[u][1]
 
 
+def _check_theta(theta: float) -> None:
+    if not (0.0 < theta < 1.0):
+        raise InvalidConfig(f"theta must be in (0, 1), got {theta}")
+
+
 def _log_cut(theta: float) -> tuple[float, float]:
     cutoff = -math.log(theta)
     return cutoff, 1e-12 * max(1.0, cutoff)
@@ -75,7 +80,7 @@ def theta_floor(theta: float) -> float:
 
 
 def _search(g, root: int, theta: float, direction: str,
-            target: int | None = None, stop_after=None):
+            target: int | None = None):
     """Best-first expansion from root pruned at theta.
 
     Heap keys are (-prob, hops, path), which makes the pop order a total
@@ -86,10 +91,6 @@ def _search(g, root: int, theta: float, direction: str,
     descending probability order, so a scan stops at the first neighbor
     whose extension falls under the floor.
 
-    `stop_after` (a set) ends the expansion once every listed node has been
-    settled; members settled up to that point keep their exact values, so
-    lookups restricted to that set are unaffected.
-
     Returns (members, target_path): members as in LocalRegion, and the full
     node sequence of the target's best path when a target was given and
     reached.
@@ -97,8 +98,6 @@ def _search(g, root: int, theta: float, direction: str,
     floor = theta_floor(theta)
     members: dict[int, tuple[float, int | None, float]] = {}
     target_path = None
-    remaining = None if stop_after is None else \
-        {t for t in stop_after if t in g}
     heap = [(-1.0, 0, (root,), 1.0)]  # -prob, hops, path, edge_prob
     push, pop = heappush, heappop
     row_of = g.sorted_row
@@ -112,10 +111,6 @@ def _search(g, root: int, theta: float, direction: str,
         if target is not None and u == target:
             target_path = path
             break
-        if remaining is not None:
-            remaining.discard(u)
-            if not remaining:
-                break
         nh = hops + 1
         for v, p in row_of(u, direction):
             np_ = prob * p
@@ -137,6 +132,7 @@ def mip(g, u: int, v: int, theta: float) -> MaxInfluencePath | None:
         raise UnknownNode(f"node {u} not in graph")
     if v not in g:
         raise UnknownNode(f"node {v} not in graph")
+    _check_theta(theta)
     members, path = _search(g, u, theta, "out", target=v)
     if path is None:
         return None
@@ -149,20 +145,9 @@ def local_region(g, root: int, direction: str, theta: float) -> LocalRegion:
         raise UnknownNode(f"node {root} not in graph")
     if direction not in ("in", "out"):
         raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
+    _check_theta(theta)
     members, _ = _search(g, root, theta, direction)
     return LocalRegion(root, direction, theta, members)
-
-
-def bounded_region_members(g, root: int, direction: str, theta: float,
-                           targets) -> dict:
-    """Region members, explored only until every target node is settled.
-
-    Entries present are exactly the region's values; nodes that would be
-    settled later than the last target are simply absent, so the result is
-    only valid for lookups within `targets`.
-    """
-    members, _ = _search(g, root, theta, direction, stop_after=targets)
-    return members
 
 
 def activation_prob(region: LocalRegion, seeds) -> float:

@@ -18,10 +18,10 @@ import time
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
 
-from .errors import EmptyGraph
+from .errors import EmptyGraph, InvalidConfig
 from .graph import Snapshot
-from .localize import (LocalRegion, activation_prob, local_region,
-                       region_weighted_sum)
+from .localize import (LocalRegion, _check_theta, activation_prob,
+                       local_region, region_weighted_sum)
 from .simulate import _check_runs, _kernel
 
 
@@ -53,6 +53,11 @@ class SeedResult:
 def _check_nonempty(g: Snapshot):
     if g.num_nodes == 0:
         raise EmptyGraph("selection on an empty graph")
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise InvalidConfig(f"k must be >= 1, got {k}")
 
 
 class LiveEdgeEstimator:
@@ -96,6 +101,7 @@ def greedy_select(g: Snapshot, k: int, runs: int, master_seed: int,
     estimator both modes return the identical seed sequence. Ties break to
     the smaller node id.
     """
+    _check_k(k)
     _check_nonempty(g)
     t0 = time.perf_counter()
     est = estimator or LiveEdgeEstimator(g, runs, master_seed)
@@ -204,6 +210,8 @@ class MiaSelector:
 
 def mia_select(g, k: int, theta: float) -> SeedResult:
     """K rounds of argmax over localized marginal spread."""
+    _check_k(k)
+    _check_theta(theta)
     _check_nonempty(g)
     t0 = time.perf_counter()
     sel = MiaSelector(g, theta)
@@ -220,6 +228,7 @@ def mia_select(g, k: int, theta: float) -> SeedResult:
 
 def degree_select(g: Snapshot, k: int) -> SeedResult:
     """Top-K nodes by out-degree, ties to the smaller node id."""
+    _check_k(k)
     _check_nonempty(g)
     t0 = time.perf_counter()
     k = min(k, g.num_nodes)
@@ -232,6 +241,7 @@ def degree_select(g: Snapshot, k: int) -> SeedResult:
 
 def random_select(g: Snapshot, k: int, master_seed: int) -> SeedResult:
     """Uniform sample of K distinct nodes, deterministic in master_seed."""
+    _check_k(k)
     _check_nonempty(g)
     t0 = time.perf_counter()
     k = min(k, g.num_nodes)

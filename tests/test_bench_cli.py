@@ -62,6 +62,27 @@ def test_scenario_errors(tmp_path):
         parse_scenario(path)
     assert "edges_file" in str(err.value)
 
+    gen = ("algos = mia\nk = 2\ntheta = 0.1\neval_seed = 1\n"
+           "gen.n0 = 5\ngen.steps = 1\ngen.nodes_per_step = 2\ngen.m = 2\n")
+    edges = ("algos = mia\nk = 2\ntheta = 0.1\neval_seed = 1\n"
+             "edges_file = trace.tsv\nsnapshot_times = 1,2\n")
+    for text, field in [
+            (gen + "eval_run = 5\n", "eval_run"),        # misspelt key
+            (gen + "gen.sed = 9\n", "gen.sed"),
+            (gen + "undirected = true\n", "undirected"),  # edges_file only
+            (edges + "gen.seed = 3\n", "gen.seed"),       # gen block only
+            (gen + "eta = 0\n", "eta"),
+            (gen + "eta = 1.5\n", "eta"),
+            (gen + "eval_runs = 0\n", "eval_runs"),
+            (gen + "select_runs = 0\n", "select_runs"),
+            (edges + "undirected = yes\n", "undirected")]:
+        path.write_text(text)
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(path)
+        assert err.value.field == field, text
+    path.write_text(edges + "undirected = TRUE\n")
+    assert parse_scenario(path).undirected
+
 
 def test_benchmark_report_structure(scenario_file):
     report = run_benchmark(parse_scenario(scenario_file))

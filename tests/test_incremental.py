@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+import evoinf.incremental as incremental
 from evoinf import (AddEdge, AddNode, DeltaTable, EvolutionContext,
-                    InsufficientSeeds, PreconditionViolation, PruneConfig,
-                    RemoveEdge, RemoveNode, Snapshot, accumulate_deltas,
-                    delta_add_edge, delta_node, delta_remove_edge, diff,
-                    incinf_select, mia_select, mia_spread, prune)
+                    InsufficientSeeds, InvalidConfig, PreconditionViolation,
+                    PruneConfig, RemoveEdge, RemoveNode, Snapshot,
+                    accumulate_deltas, delta_add_edge, delta_node,
+                    delta_remove_edge, diff, incinf_select, mia_select,
+                    mia_spread, prune)
 from conftest import random_graph, random_stream
 
 
@@ -129,6 +131,18 @@ def test_accumulate_rejects_seed_set():
 
 # -- stream accumulation --
 
+@pytest.mark.parametrize("k, theta", [
+    (0, 0.1), (-2, 0.1), (2, 0.0), (2, -0.1), (2, 1.0), (2, math.nan)])
+def test_entry_points_reject_out_of_range_k_and_theta(k, theta):
+    g = Snapshot.build([0, 1, 2], [(0, 1, 0.5)])
+    ctx = EvolutionContext.from_stream(g, [AddEdge(1, 2, 0.5)])
+    with pytest.raises(InvalidConfig):
+        incinf_select(ctx, [0, 1], k, theta)
+    if k >= 1:
+        with pytest.raises(InvalidConfig):
+            accumulate_deltas(ctx, frozenset(), theta)
+
+
 def test_accumulate_empty_stream():
     g = Snapshot.build([0, 1], [(0, 1, 0.5)])
     ctx = EvolutionContext.from_stream(g, [])
@@ -175,6 +189,23 @@ def test_accumulate_matches_static_differencing_randomized():
         g = random_graph(rng, 40, 2.0)
         stream = random_stream(rng, g, 30)
         theta = rng.choice([0.1, 0.01])
+        ctx = EvolutionContext.from_stream(g, stream)
+        table = accumulate_deltas(ctx, frozenset(), theta)
+        assert_matches_static(ctx, table, theta)
+
+
+@pytest.mark.parametrize("ratio", [0, 10**9],
+                         ids=["per-target", "per-source"])
+def test_both_kernel_orientations_match_static_differencing(monkeypatch,
+                                                            ratio):
+    # ratio 0 roots every pair loop on the targets (the source side always
+    # holds u itself), 10**9 roots every one on the sources
+    monkeypatch.setattr(incremental, "_PER_TARGET_RATIO", ratio)
+    for trial in range(40):
+        rng = random.Random(80_000 + trial)
+        g = random_graph(rng, 60, rng.uniform(1.5, 3.0))
+        stream = random_stream(rng, g, 30)
+        theta = 0.1 if trial % 2 == 0 else 0.01
         ctx = EvolutionContext.from_stream(g, stream)
         table = accumulate_deltas(ctx, frozenset(), theta)
         assert_matches_static(ctx, table, theta)

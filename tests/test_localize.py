@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from evoinf import (Snapshot, UnknownNode, activation_prob, local_region,
-                    mia_spread, mip)
+from evoinf import (InvalidConfig, Snapshot, UnknownNode, activation_prob,
+                    local_region, mia_spread, mip)
 from evoinf.localize import theta_floor
 from conftest import random_graph
 
@@ -240,22 +240,6 @@ def test_sparse_activation_matches_full_table():
         assert activation_prob(region, seeds) == full
 
 
-def test_bounded_search_agrees_on_targets():
-    from evoinf.localize import bounded_region_members
-    rng = random.Random(515)
-    for _ in range(30):
-        g = random_graph(rng, 15, 2.0)
-        nodes = sorted(g.nodes())
-        root = rng.choice(nodes)
-        theta = rng.choice([0.2, 0.05])
-        direction = rng.choice(["in", "out"])
-        targets = frozenset(rng.sample(nodes, 4))
-        full = local_region(g, root, direction, theta).members
-        bounded = bounded_region_members(g, root, direction, theta, targets)
-        for t in targets:
-            assert bounded.get(t) == full.get(t)
-
-
 def test_theta_boundary_is_inclusive():
     # 0.1 * 0.1 lands on theta = 0.01 exactly (up to rounding): kept
     g = Snapshot.build([0, 1, 2], [(0, 1, 0.1), (1, 2, 0.1)])
@@ -265,3 +249,13 @@ def test_theta_boundary_is_inclusive():
     assert 0.1 * 0.1 >= floor
     assert 0.01 >= floor
     assert 0.00999 < floor
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.5, 1.0, 2.0, math.nan])
+def test_theta_outside_unit_interval_rejected(theta):
+    g = Snapshot.build([0, 1], [(0, 1, 0.5)])
+    for call in (lambda: local_region(g, 0, "out", theta),
+                 lambda: mip(g, 0, 1, theta),
+                 lambda: mia_spread(g, 0, set(), theta)):
+        with pytest.raises(InvalidConfig):
+            call()

@@ -178,6 +178,18 @@ def test_all_selectors_reject_empty_graph():
             call()
 
 
+@pytest.mark.parametrize("select, args", [
+    (mia_select, (0, 0.1)), (mia_select, (-1, 0.1)), (mia_select, (2, 0.0)),
+    (mia_select, (2, 1.0)), (mia_select, (2, math.nan)),
+    (greedy_select, (0, 10, 0)), (degree_select, (0,)),
+    (random_select, (0, 0)), (random_select, (-1, 0)),
+], ids=["mia-k0", "mia-k-1", "mia-theta0", "mia-theta1", "mia-theta-nan",
+        "greedy-k0", "degree-k0", "random-k0", "random-k-1"])
+def test_selectors_reject_out_of_range_k_and_theta(select, args):
+    with pytest.raises(InvalidConfig):
+        select(star(0.5), *args)
+
+
 def test_selectors_return_k_distinct_seeds():
     rng = random.Random(2)
     g = random_graph(rng, 20, 1.5)
