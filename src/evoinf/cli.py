@@ -19,8 +19,7 @@ from .generate import GenConfig, generate_evolving
 from .graph import (GraphBuilder, RemoveNode, Snapshot,
                     cascade_node_removal, diff, format_change,
                     read_change_stream, write_change_stream)
-from .incremental import EvolutionContext, PruneConfig, accumulate_deltas, \
-    incinf_select
+from .incremental import EvolutionContext, PruneConfig, _incinf
 from .ingest import (load_temporal_edges, parse_prob_policy, snapshot_at,
                      write_id_map)
 from .select import (degree_select, greedy_select, mia_select,
@@ -188,10 +187,9 @@ def cmd_incinf(args) -> int:
         ctx = EvolutionContext.from_snapshots(g_old, g_new)
     prev = _parse_seed_list(args.prev_seeds, "prev-seeds")
     cfg = PruneConfig(args.eta, prev)
-    res = incinf_select(ctx, prev, args.k, args.theta, cfg,
-                        prune_enabled=not args.no_prune, pad=args.pad)
+    res, table = _incinf(ctx, prev, args.k, args.theta, cfg,
+                         prune_enabled=not args.no_prune, pad=args.pad)
     if args.emit_deltas:
-        table = accumulate_deltas(ctx, frozenset(), args.theta)
         with open(args.emit_deltas, "w", encoding="utf-8") as fh:
             table.write_csv(fh)
     _emit(args, json.dumps(res.to_dict(), indent=2))

@@ -28,8 +28,28 @@ def pytest_terminal_summary(terminalreporter):
         suffix = f" ({detail})" if detail and outcome == "PASSED" else ""
         terminalreporter.write_line(f"{name}: {outcome}{suffix}")
 
-from evoinf import (AddEdge, AddNode, AddWeight, DecWeight, GraphBuilder,
-                    PreconditionViolation, RemoveEdge, RemoveNode, Snapshot)
+from evoinf import (AddEdge, AddNode, AddWeight, DecWeight, DeltaTable,
+                    GraphBuilder, PreconditionViolation, RemoveEdge,
+                    RemoveNode, Snapshot, delta_add_edge, delta_node,
+                    delta_remove_edge)
+
+
+def fold_kernels(ctx, theta: float) -> DeltaTable:
+    """The per-change kernels folded over the decomposed stream.
+
+    This is the change-by-change computation `accumulate_deltas` replaced;
+    the tests keep it as an independent oracle for the delta table.
+    """
+    ctx.reset()
+    table = DeltaTable()
+    for c in ctx.kernel_stream:
+        if isinstance(c, AddEdge):
+            delta_add_edge(ctx, c, theta, table)
+        elif isinstance(c, RemoveEdge):
+            delta_remove_edge(ctx, c, theta, table)
+        else:
+            delta_node(ctx, c, table)
+    return table
 
 
 def random_graph(rng: random.Random, n: int, avg_deg: float,

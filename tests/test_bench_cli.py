@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from evoinf import ScenarioError
+from evoinf import (AddEdge, AddNode, EvolutionContext, ScenarioError,
+                    Snapshot)
 from evoinf.bench import parse_scenario, report_csv, run_benchmark
 from evoinf.cli import main
 
@@ -315,6 +316,35 @@ def test_cli_malformed_prev_seeds_file_is_json_error(tmp_path, tiny_streams,
                    "--at-new", "1", "--k", "1",
                    "--prev-seeds", "@" + str(seeds)) == 1
     assert error_record(capsys)["error"] == "JSONDecodeError"
+
+
+def test_cli_emit_deltas_reuses_the_selection_table(tmp_path, tiny_streams,
+                                                   capsys, monkeypatch):
+    import evoinf.incremental as incremental
+    real = incremental.accumulate_deltas
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+    # every evoinf module that binds the name, the CLI's included
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("evoinf") and \
+                getattr(mod, "accumulate_deltas", None) is real:
+            monkeypatch.setattr(mod, "accumulate_deltas", counting)
+    out = tmp_path / "deltas.csv"
+    assert run_cli("incinf", "--streams-old", str(tiny_streams),
+                   "--at-old", "0",
+                   "--stream", str(tiny_streams / "stream_0001.txt"),
+                   "--prev-seeds", "0", "--k", "1", "--theta", "0.1",
+                   "--emit-deltas", str(out)) == 0
+    assert len(calls) == 1
+    g_old = Snapshot.build([0, 1, 2], [(0, 1, 0.5), (1, 2, 0.5)])
+    ctx = EvolutionContext.from_stream(g_old,
+                                       [AddNode(3), AddEdge(3, 0, 0.5)])
+    standalone = io.StringIO()
+    real(ctx, frozenset(), 0.1).write_csv(standalone)
+    assert out.read_text() == standalone.getvalue() == "node,delta\n3,1.875\n"
 
 
 @pytest.mark.parametrize("case", [

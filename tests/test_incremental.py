@@ -10,7 +10,8 @@ from evoinf import (AddEdge, AddNode, DeltaTable, EvolutionContext,
                     accumulate_deltas, delta_add_edge, delta_node,
                     delta_remove_edge, diff, incinf_select, mia_select,
                     mia_spread, prune)
-from conftest import random_graph, random_stream
+from evoinf.localize import theta_floor
+from conftest import fold_kernels, random_graph, random_stream
 
 
 def static_delta(ctx, v, theta):
@@ -120,6 +121,16 @@ def test_kernels_validate_changes():
         delta_node(ctx, AddEdge(0, 1, 0.5), DeltaTable())
 
 
+def test_kernels_build_the_working_graph_on_first_use():
+    g = Snapshot.build([0, 1], [(0, 1, 0.5)])
+    ctx = EvolutionContext.from_stream(g, [])
+    table = delta_add_edge(ctx, AddEdge(1, 0, 0.5), 0.1, DeltaTable())
+    assert table.values == {1: 0.5}
+    assert ctx.working.has_edge(1, 0) and not g.has_edge(1, 0)
+    ctx.reset()
+    assert not ctx.working.has_edge(1, 0)
+
+
 def test_accumulate_rejects_seed_set():
     g = Snapshot.build([0, 1, 2], [(0, 1, 0.5)])
     ctx = EvolutionContext.from_stream(g, [AddEdge(1, 2, 0.5)])
@@ -207,8 +218,38 @@ def test_both_kernel_orientations_match_static_differencing(monkeypatch,
         stream = random_stream(rng, g, 30)
         theta = 0.1 if trial % 2 == 0 else 0.01
         ctx = EvolutionContext.from_stream(g, stream)
+        assert_matches_static(ctx, fold_kernels(ctx, theta), theta)
+
+
+def test_accumulate_equals_folded_kernels_on_c2_streams():
+    for trial in range(12):
+        rng = random.Random(31_000 + trial)
+        g = random_graph(rng, 100, rng.uniform(1.5, 3.0))
+        stream = random_stream(rng, g, 50)
+        theta = 0.1 if trial % 2 == 0 else 0.01
+        ctx = EvolutionContext.from_stream(g, stream)
         table = accumulate_deltas(ctx, frozenset(), theta)
-        assert_matches_static(ctx, table, theta)
+        kernel = fold_kernels(ctx, theta)
+        assert table.born == kernel.born and table.removed == kernel.removed
+        for v in table.values.keys() | kernel.values.keys():
+            assert math.isclose(table.get(v), kernel.get(v),
+                                rel_tol=1e-6, abs_tol=1e-9), (trial, v)
+
+
+def test_edge_in_the_theta_floor_sliver_counts():
+    # regions keep paths down to theta_floor(theta), a relative ~1e-12
+    # below theta, so an edge in [floor, theta) reaches its target
+    theta = 0.1
+    p = theta * (1 - 1e-13)
+    assert theta_floor(theta) <= p < theta
+    g = Snapshot.build([0, 1], [])
+    ctx = EvolutionContext.from_stream(g, [AddEdge(0, 1, p)])
+    expected = static_delta(ctx, 0, theta)  # (1 + p) - 1
+    assert math.isclose(expected, p, rel_tol=1e-12)
+    assert accumulate_deltas(ctx, frozenset(), theta).values == {0: expected}
+    kernel = fold_kernels(ctx, theta)
+    assert kernel.values.keys() == {0}
+    assert math.isclose(kernel.get(0), expected, rel_tol=1e-12)
 
 
 def test_accumulate_handles_weight_changes_via_decomposition():
@@ -218,6 +259,7 @@ def test_accumulate_handles_weight_changes_via_decomposition():
     ctx = EvolutionContext.from_stream(g, stream)
     table = accumulate_deltas(ctx, frozenset(), 0.05)
     assert_matches_static(ctx, table, 0.05)
+    assert_matches_static(ctx, fold_kernels(ctx, 0.05), 0.05)
     # kernel stream carries only the four kernel change types
     kinds = {type(c).__name__ for c in ctx.kernel_stream}
     assert kinds <= {"AddEdge", "RemoveEdge", "AddNode", "RemoveNode"}
