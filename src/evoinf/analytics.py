@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from .errors import UnknownNode
 from .graph import Snapshot
 
 
@@ -93,4 +94,9 @@ def degree_ranks(g: Snapshot, kind: str = "out") -> dict[int, int]:
 def influence_degree_rank(g: Snapshot, seeds, kind: str = "out") -> list[int]:
     """Descending-degree rank of each seed, in seed order (rank 1 = top)."""
     ranks = degree_ranks(g, kind)
-    return [ranks[s] for s in seeds]
+    out = []
+    for s in seeds:
+        if s not in ranks:
+            raise UnknownNode(f"seed {s} not in graph")
+        out.append(ranks[s])
+    return out

@@ -43,8 +43,10 @@ class GenConfig:
             raise InvalidConfig("nodes_per_step must be >= 0")
         for name in ("extra_edge_fraction", "remove_edge_fraction",
                      "weight_change_fraction"):
-            if getattr(self, name) < 0:
-                raise InvalidConfig(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidConfig(f"{name} must be finite and >= 0, got "
+                                    f"{value}")
         if self.remove_node_count < 0:
             raise InvalidConfig("remove_node_count must be >= 0")
         parse_prob_policy(self.prob_policy, self.master_seed)

@@ -8,10 +8,10 @@ nodes. Differencing their localized spreads on the new and the old snapshot
 gives the same table as static recomputation over every node, bit for bit;
 every other node's delta is exactly zero.
 
-The per-change kernels (`delta_add_edge`, `delta_remove_edge`, `delta_node`
-folded over `EvolutionContext.kernel_stream`) compute the same table change
-by change. Nothing in the package calls them; they stay as the tests'
-independent oracle.
+The per-change kernels (`delta_add_edge`, `delta_remove_edge`, `delta_node`,
+folded over `EvolutionContext.kernel_stream` on a `GraphBuilder` of the old
+snapshot) compute the same table change by change. Nothing in the package
+calls them; they stay as a plain oracle for the tests.
 
 Selection then prunes: a node is only worth re-evaluating if its spread grew
 more than the previous holder of the seat did, or (when the previous seat
@@ -29,13 +29,8 @@ from .errors import (EmptyGraph, InsufficientSeeds, InvalidConfig,
 from .graph import (AddEdge, AddNode, AddWeight, Change, ChangeStream,
                     DecWeight, GraphBuilder, RemoveEdge, RemoveNode, Snapshot,
                     apply_all, decompose_weight_change, diff)
-from .localize import (_check_theta, local_region, mia_spread, mip,
-                       theta_floor)
+from .localize import _check_theta, local_region, mia_spread, theta_floor
 from .select import MiaSelector, SeedResult, _check_k, mia_select
-
-# `_edge_gains` reads old best paths off the targets' in-regions once the
-# sources outnumber the targets by more than this factor
-_PER_TARGET_RATIO = 8
 
 
 def _end_theta(p: float, floor: float) -> float:
@@ -96,8 +91,7 @@ class EvolutionContext:
 
     Holds cached degree rankings for pruning. For the per-change kernels it
     also offers the kernel stream, in which weight changes are decomposed
-    into remove + re-add so that it carries only four change types, and the
-    working graph they advance, built on first use.
+    into remove + re-add so that it carries only four change types.
     """
 
     def __init__(self, g_old: Snapshot, g_new: Snapshot, stream: ChangeStream,
@@ -107,8 +101,6 @@ class EvolutionContext:
         self.g_old = g_old
         self.g_new = g_new
         self.stream = stream
-        self._working: GraphBuilder | None = None
-        self._kernel_stream: ChangeStream | None = None
         self._top_degree: dict[float, set[int]] = {}
         self._top_increase: dict[float, set[int]] = {}
 
@@ -127,29 +119,17 @@ class EvolutionContext:
 
     @property
     def kernel_stream(self) -> ChangeStream:
-        """The stream with every weight change decomposed, validated by replay."""
-        if self._kernel_stream is None:
-            out: ChangeStream = []
-            b = GraphBuilder(self.g_old)
-            for c in self.stream:
-                if isinstance(c, (AddWeight, DecWeight)):
-                    out.extend(decompose_weight_change(b, c))
-                else:
-                    out.append(c)
-                b.apply(c)
-            self._kernel_stream = out
-        return self._kernel_stream
-
-    @property
-    def working(self) -> GraphBuilder:
-        """The graph the per-change kernels advance; g_old until they do."""
-        if self._working is None:
-            self.reset()
-        return self._working
-
-    def reset(self) -> None:
-        """Restart the per-change kernels' working graph at g_old."""
-        self._working = GraphBuilder(self.g_old)
+        """The stream with every weight change decomposed, validated by a
+        replay on every access."""
+        out: ChangeStream = []
+        b = GraphBuilder(self.g_old)
+        for c in self.stream:
+            if isinstance(c, (AddWeight, DecWeight)):
+                out.extend(decompose_weight_change(b, c))
+            else:
+                out.append(c)
+            b.apply(c)
+        return out
 
     def top_degree_set(self, eta: float) -> set[int]:
         """Nodes whose new out-degree ranks in the top eta fraction."""
@@ -185,56 +165,32 @@ class EvolutionContext:
         return got
 
 
-def _edge_gains(w, u: int, v: int, p: float, theta: float,
+def _edge_gains(w: GraphBuilder, u: int, v: int, p: float, theta: float,
                 table: DeltaTable, sign: float) -> None:
     """Spread gained by adding edge (u, v, p) to the working graph w.
 
-    w must not hold the edge. The edge is ignored when its probability is
-    below `theta_floor(theta)` (the regions' cut) or not above the
-    probability of the best existing path between its endpoints. Otherwise
-    every node that reaches the source may gain: for each reachable
-    downstream node, either a brand-new above-theta path appears (full path
-    probability gained) or an existing one improves (difference gained). Each gain is added to the table
-    multiplied by `sign`.
-
-    Only pairs whose composite path i -> u -> v -> j clears theta can
-    contribute, so the endpoint regions are explored only down to floor/p
-    and filtered exactly afterwards. The old best paths of the surviving
-    pairs are read off full theta regions: the targets' in-regions when the
-    sources outnumber the targets more than `_PER_TARGET_RATIO` to 1 (hub
-    sources), else the sources' out-regions.
-
-    The `mip` pre-check stays because it pays where existing paths dominate
-    new edges: on graphs with p in {0.5, 1.0} the kernel took 15.3-17.5 s
-    without it against 6.8-10.1 s with it (2-core host), while it costs
-    10-20 % on trivalency churn, where dominated edges are rare. The
-    benchmark has no workload with many dominated edges.
+    w must not hold the edge. Only pairs whose composite path i -> u -> v -> j
+    clears the regions' cut `theta_floor(theta)` can contribute, so the
+    endpoint regions are explored only down to floor/p and filtered exactly
+    afterwards. The old best paths of each surviving source i are read off
+    its full theta out-region: a target j without one gains the whole
+    composite path, any other gains what the composite path improves on it.
+    So an edge no better than an existing path between its endpoints gains
+    nothing. Each gain is credited to i multiplied by `sign`.
     """
     floor = theta_floor(theta)
     if p < floor:
         return
-    existing = mip(w, u, v, theta)
-    if existing is not None and p <= existing.prob:
-        return
-
     theta_end = _end_theta(p, floor)
     in_u = local_region(w, u, "in", theta_end).members
     out_v = local_region(w, v, "out", theta_end).members
     src_w = {i: e[0] * p for i, e in in_u.items() if e[0] * p >= floor}
-    dst_w = {j: e[0] for j, e in out_v.items() if p * e[0] >= floor}
-    per_target = len(src_w) > _PER_TARGET_RATIO * max(1, len(dst_w))
-    if per_target:
-        direction, roots, leaves = "in", dst_w, src_w
-    else:
-        direction, roots, leaves = "out", src_w, dst_w
-    # cand is (in-path prob * p) * out-path prob with either side as the
-    # root (float multiplication commutes), and the gain goes to the source
-    leaf_items = sorted(leaves.items())
-    for r, r_w in sorted(roots.items()):
-        old_paths = local_region(w, r, direction, theta).members
-        for x, x_w in leaf_items:
-            cand = r_w * x_w
-            old = old_paths.get(x)
+    dst_w = sorted((j, e[0]) for j, e in out_v.items() if p * e[0] >= floor)
+    for i, i_w in sorted(src_w.items()):
+        old_paths = local_region(w, i, "out", theta).members
+        for j, j_w in dst_w:
+            cand = i_w * j_w
+            old = old_paths.get(j)
             if old is not None:
                 gain = cand - old[0]
             elif cand >= floor:
@@ -242,16 +198,15 @@ def _edge_gains(w, u: int, v: int, p: float, theta: float,
             else:
                 continue
             if gain > 0.0:
-                table.add(x if per_target else r, sign * gain)
+                table.add(i, sign * gain)
 
 
-def delta_add_edge(ctx: EvolutionContext, change: AddEdge, theta: float,
+def delta_add_edge(w: GraphBuilder, change: AddEdge, theta: float,
                    table: DeltaTable) -> DeltaTable:
-    """Spread deltas caused by one edge addition; advances the working graph.
+    """Spread deltas caused by one edge addition; applies it to w.
 
     The gains are those of `_edge_gains` on the graph before the addition.
     """
-    w = ctx.working
     u, v, p = change.source, change.target, change.prob
     if u == v or not w.has_node(u) or not w.has_node(v) or w.has_edge(u, v) \
             or not (0.0 < p <= 1.0):
@@ -261,14 +216,13 @@ def delta_add_edge(ctx: EvolutionContext, change: AddEdge, theta: float,
     return table
 
 
-def delta_remove_edge(ctx: EvolutionContext, change: RemoveEdge, theta: float,
+def delta_remove_edge(w: GraphBuilder, change: RemoveEdge, theta: float,
                       table: DeltaTable) -> DeltaTable:
-    """Spread deltas caused by one edge removal; advances the working graph.
+    """Spread deltas caused by one edge removal; applies it to w.
 
     Removing e from G loses exactly what adding e to G - e gains, so the
     edge is removed first and the addition's gains are negated.
     """
-    w = ctx.working
     u, v = change.source, change.target
     if not w.has_edge(u, v):
         raise PreconditionViolation(change, f"edge ({u},{v}) not present")
@@ -278,13 +232,12 @@ def delta_remove_edge(ctx: EvolutionContext, change: RemoveEdge, theta: float,
     return table
 
 
-def delta_node(ctx: EvolutionContext, change: Change,
+def delta_node(w: GraphBuilder, change: Change,
                table: DeltaTable) -> DeltaTable:
     """Node lifecycle deltas: +1 standalone spread on add, -1 on removal.
 
     A removed node is additionally marked ineligible for selection.
     """
-    w = ctx.working
     if isinstance(change, AddNode):
         w.apply(change)
         table.add(change.node, 1.0)
@@ -406,6 +359,10 @@ def incinf_select(ctx: EvolutionContext, prev, k: int, theta: float,
     their spread changes only. Per-round seed coverage enters through the
     marginal gains, not through the deltas.
 
+    Only `cfg.eta` is read (1.0 without a `cfg`): the seats come from
+    `prev`, padded from `mia_select` when `pad` is set, never from
+    `cfg.prev_seeds`.
+
     With `prune_enabled=False` every node of the new graph is a candidate,
     which makes the output identical to `mia_select` on the new snapshot.
     """
@@ -440,10 +397,7 @@ def _incinf(ctx: EvolutionContext, prev, k: int, theta: float,
                 break
 
     eta = cfg.eta if cfg is not None else 1.0
-    if prune_enabled:
-        cfg = cfg or PruneConfig(eta, prev_seeds)
-        if cfg.prev_seeds != prev_seeds:
-            cfg = PruneConfig(cfg.eta, prev_seeds)
+    cfg = PruneConfig(eta, prev_seeds)
 
     table = accumulate_deltas(ctx, frozenset(), theta)
     selector = MiaSelector(g_new, theta)

@@ -40,15 +40,15 @@ def fold_kernels(ctx, theta: float) -> DeltaTable:
     This is the change-by-change computation `accumulate_deltas` replaced;
     the tests keep it as an independent oracle for the delta table.
     """
-    ctx.reset()
+    w = GraphBuilder(ctx.g_old)
     table = DeltaTable()
     for c in ctx.kernel_stream:
         if isinstance(c, AddEdge):
-            delta_add_edge(ctx, c, theta, table)
+            delta_add_edge(w, c, theta, table)
         elif isinstance(c, RemoveEdge):
-            delta_remove_edge(ctx, c, theta, table)
+            delta_remove_edge(w, c, theta, table)
         else:
-            delta_node(ctx, c, table)
+            delta_node(w, c, table)
     return table
 
 

@@ -1,8 +1,8 @@
 import pytest
 
-from evoinf import (GenConfig, Snapshot, degree_distribution, degree_ranks,
-                    generate_evolving, growth_stats, influence_degree_rank,
-                    pa_correlation, powerlaw_slope)
+from evoinf import (GenConfig, Snapshot, UnknownNode, degree_distribution,
+                    degree_ranks, generate_evolving, growth_stats,
+                    influence_degree_rank, pa_correlation, powerlaw_slope)
 
 
 def test_histogram_counts_sum_to_node_count():
@@ -81,3 +81,5 @@ def test_influence_degree_rank_star():
     g = Snapshot.build(range(6), [(0, i, 0.5) for i in range(1, 6)])
     assert influence_degree_rank(g, [0], kind="out") == [1]
     assert influence_degree_rank(g, [0], kind="in") == [6]
+    with pytest.raises(UnknownNode):
+        influence_degree_rank(g, [0, 9999])

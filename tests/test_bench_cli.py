@@ -350,11 +350,15 @@ def test_cli_emit_deltas_reuses_the_selection_table(tmp_path, tiny_streams,
 @pytest.mark.parametrize("case", [
     "select --theta 0", "select --theta 1", "select --theta nan",
     "select --k -2", "select --runs 0", "incinf --theta 0", "incinf --k 0",
-    "incinf --eta 0", "evaluate --runs 0",
+    "incinf --eta 0", "evaluate --runs 0", "analyze --seeds 9999",
+    "gen --extra-edge-fraction nan",
 ])
 def test_cli_rejects_out_of_range_options(tiny_streams, capsys, case):
     command, *option = case.split()
     graph = {
+        "gen": ["--n0", "10", "--steps", "2", "--nodes-per-step", "20",
+                "--m", "2", "--seed", "3",
+                "--out-dir", str(tiny_streams.parent / "gen")],
         "select": ["--streams", str(tiny_streams), "--at", "1",
                    "--algo", "mia", "--k", "1"],
         "incinf": ["--streams-old", str(tiny_streams), "--at-old", "0",
@@ -362,10 +366,13 @@ def test_cli_rejects_out_of_range_options(tiny_streams, capsys, case):
                    "--prev-seeds", "0", "--k", "1"],
         "evaluate": ["--streams", str(tiny_streams), "--at", "1",
                      "--seeds", "0"],
+        "analyze": ["rank", "--streams", str(tiny_streams), "--at", "1"],
     }[command]
     # argparse keeps the last occurrence of a repeated option
     assert run_cli(command, *graph, *option) == 1
-    assert error_record(capsys)["error"] == "InvalidConfig"
+    # a seed id outside the graph is an unknown node, not a bad option
+    expected = "UnknownNode" if command == "analyze" else "InvalidConfig"
+    assert error_record(capsys)["error"] == expected
 
 
 @pytest.mark.parametrize("command, option, spec", [

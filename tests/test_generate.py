@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
-from evoinf import (GenConfig, InvalidConfig, apply_all, diff,
-                    generate_evolving)
+from evoinf import (GenConfig, InvalidConfig, InvalidProbability, apply_all,
+                    diff, generate_evolving)
 from evoinf.ingest import TRIVALENCY
 
 
@@ -16,10 +18,14 @@ def test_config_validation():
         GenConfig(n0=5, steps=1, nodes_per_step=1, m=2,
                   prob_policy="bogus"),
     ]
+    # non-finite fractions would reach math.ceil in the generator
+    bad += [GenConfig(n0=5, steps=1, nodes_per_step=1, m=2, **{name: value})
+            for name in ("extra_edge_fraction", "remove_edge_fraction",
+                         "weight_change_fraction")
+            for value in (math.nan, math.inf)]
     for cfg in bad:
-        with pytest.raises(Exception) as err:
+        with pytest.raises((InvalidConfig, InvalidProbability)):
             generate_evolving(cfg)
-        assert isinstance(err.value, (InvalidConfig, Exception))
     with pytest.raises(InvalidConfig):
         generate_evolving(GenConfig(n0=1, steps=1, nodes_per_step=1, m=2))
 

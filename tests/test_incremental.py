@@ -3,13 +3,12 @@ import random
 
 import pytest
 
-import evoinf.incremental as incremental
 from evoinf import (AddEdge, AddNode, DeltaTable, EvolutionContext,
-                    InsufficientSeeds, InvalidConfig, PreconditionViolation,
-                    PruneConfig, RemoveEdge, RemoveNode, Snapshot,
-                    accumulate_deltas, delta_add_edge, delta_node,
-                    delta_remove_edge, diff, incinf_select, mia_select,
-                    mia_spread, prune)
+                    GraphBuilder, InsufficientSeeds, InvalidConfig,
+                    PreconditionViolation, PruneConfig, RemoveEdge,
+                    RemoveNode, Snapshot, accumulate_deltas, delta_add_edge,
+                    delta_node, delta_remove_edge, diff, incinf_select,
+                    mia_select, mia_spread, prune)
 from evoinf.localize import theta_floor
 from conftest import fold_kernels, random_graph, random_stream
 
@@ -48,10 +47,13 @@ def test_add_edge_upstream_gains():
 
 
 def test_add_edge_weaker_than_existing_path_is_ignored():
-    g = Snapshot.build([0, 1, 2], [(0, 1, 0.6), (1, 2, 0.5)])  # best 0->2: 0.3
-    ctx = EvolutionContext.from_stream(g, [AddEdge(0, 2, 0.2)])
-    table = accumulate_deltas(ctx, frozenset(), 0.1)
-    assert table.values == {}
+    for edges, change in [
+            ([(0, 1, 0.6), (1, 2, 0.5)], AddEdge(0, 2, 0.2)),   # best 0.3
+            ([(0, 1, 0.5), (1, 2, 0.5)], AddEdge(0, 2, 0.25))]:  # exact tie
+        ctx = EvolutionContext.from_stream(Snapshot.build([0, 1, 2], edges),
+                                           [change])
+        assert accumulate_deltas(ctx, frozenset(), 0.1).values == {}
+        assert fold_kernels(ctx, 0.1).values == {}
 
 
 def test_add_edge_improvement_counts_difference_only():
@@ -84,6 +86,7 @@ def test_remove_edge_off_best_path_changes_nothing():
     ctx = EvolutionContext.from_stream(g, [RemoveEdge(0, 2)])
     table = accumulate_deltas(ctx, frozenset(), 0.1)
     assert table.values == {}
+    assert fold_kernels(ctx, 0.1).values == {}
 
 
 def test_remove_falls_back_to_detour():
@@ -108,27 +111,15 @@ def test_node_lifecycle_deltas():
 
 
 def test_kernels_validate_changes():
-    g = Snapshot.build([0, 1], [(0, 1, 0.5)])
-    ctx = EvolutionContext.from_stream(g, [])
-    ctx.reset()
+    w = GraphBuilder(Snapshot.build([0, 1], [(0, 1, 0.5)]))
     with pytest.raises(PreconditionViolation):
-        delta_add_edge(ctx, AddEdge(0, 1, 0.5), 0.1, DeltaTable())
+        delta_add_edge(w, AddEdge(0, 1, 0.5), 0.1, DeltaTable())
     with pytest.raises(PreconditionViolation):
-        delta_add_edge(ctx, AddEdge(0, 9, 0.5), 0.1, DeltaTable())
+        delta_add_edge(w, AddEdge(0, 9, 0.5), 0.1, DeltaTable())
     with pytest.raises(PreconditionViolation):
-        delta_remove_edge(ctx, RemoveEdge(1, 0), 0.1, DeltaTable())
+        delta_remove_edge(w, RemoveEdge(1, 0), 0.1, DeltaTable())
     with pytest.raises(PreconditionViolation):
-        delta_node(ctx, AddEdge(0, 1, 0.5), DeltaTable())
-
-
-def test_kernels_build_the_working_graph_on_first_use():
-    g = Snapshot.build([0, 1], [(0, 1, 0.5)])
-    ctx = EvolutionContext.from_stream(g, [])
-    table = delta_add_edge(ctx, AddEdge(1, 0, 0.5), 0.1, DeltaTable())
-    assert table.values == {1: 0.5}
-    assert ctx.working.has_edge(1, 0) and not g.has_edge(1, 0)
-    ctx.reset()
-    assert not ctx.working.has_edge(1, 0)
+        delta_node(w, AddEdge(0, 1, 0.5), DeltaTable())
 
 
 def test_accumulate_rejects_seed_set():
@@ -175,8 +166,7 @@ def test_accumulate_matches_static_differencing_small():
 
 
 def test_hub_source_edges_match_static_differencing():
-    # many nodes reach the source, few leave the target: exercises the
-    # per-target kernel path chosen for hub sources
+    # many nodes reach the source, few leave the target
     nodes = list(range(40))
     edges = [(i, 30, 0.6) for i in range(25)] + [(i + 1, i, 0.3)
                                                  for i in range(10)]
@@ -205,13 +195,7 @@ def test_accumulate_matches_static_differencing_randomized():
         assert_matches_static(ctx, table, theta)
 
 
-@pytest.mark.parametrize("ratio", [0, 10**9],
-                         ids=["per-target", "per-source"])
-def test_both_kernel_orientations_match_static_differencing(monkeypatch,
-                                                            ratio):
-    # ratio 0 roots every pair loop on the targets (the source side always
-    # holds u itself), 10**9 roots every one on the sources
-    monkeypatch.setattr(incremental, "_PER_TARGET_RATIO", ratio)
+def test_folded_kernels_match_static_differencing():
     for trial in range(40):
         rng = random.Random(80_000 + trial)
         g = random_graph(rng, 60, rng.uniform(1.5, 3.0))
