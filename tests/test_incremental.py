@@ -195,7 +195,10 @@ def test_accumulate_matches_static_differencing_randomized():
         assert_matches_static(ctx, table, theta)
 
 
-def test_folded_kernels_match_static_differencing():
+# The kernel has a single orientation since the per-target one was
+# removed; the per-source case keeps its name and id.
+@pytest.mark.parametrize("orientation", ["per-source"])
+def test_both_kernel_orientations_match_static_differencing(orientation):
     for trial in range(40):
         rng = random.Random(80_000 + trial)
         g = random_graph(rng, 60, rng.uniform(1.5, 3.0))
