@@ -17,8 +17,8 @@ from .graph import (AddEdge, AddNode, AddWeight, Change, ChangeStream,
 from .ingest import (FixedProb, TemporalEdge, TrivalencyProb,
                      load_temporal_edges, parse_prob_policy, snapshot_at)
 from .simulate import SpreadEstimate, exact_spread, simulate_spread
-from .localize import (LocalRegion, MaxInfluencePath, activation_prob,
-                       local_region, mia_spread, mip)
+from .localize import (LocalRegion, activation_prob, local_region,
+                       mia_spread)
 from .select import (SeedResult, degree_select, greedy_select, mia_select,
                      random_select)
 from .incremental import (DeltaTable, EvolutionContext, PruneConfig,
@@ -36,7 +36,7 @@ __all__ = [
     "AddEdge", "AddNode", "AddWeight", "Change", "ChangeStream", "DecWeight",
     "DeltaTable", "EmptyGraph", "EvoinfError", "EvolutionContext",
     "FixedProb", "GenConfig", "GraphBuilder", "InsufficientSeeds",
-    "InvalidConfig", "InvalidProbability", "LocalRegion", "MaxInfluencePath",
+    "InvalidConfig", "InvalidProbability", "LocalRegion",
     "ParseError", "PreconditionViolation", "PruneConfig", "RemoveEdge",
     "RemoveNode", "ScenarioError", "SeedResult", "Snapshot", "SpreadEstimate",
     "TemporalEdge", "TooLarge", "TrivalencyProb", "UnknownNode",
@@ -46,7 +46,7 @@ __all__ = [
     "delta_remove_edge", "diff", "exact_spread", "generate_evolving",
     "greedy_select", "growth_stats", "incinf_select",
     "influence_degree_rank", "load_temporal_edges", "local_region",
-    "mia_select", "mia_spread", "mip", "pa_correlation",
+    "mia_select", "mia_spread", "pa_correlation",
     "parse_prob_policy", "powerlaw_slope", "prune", "random_select",
     "read_change_stream", "simulate_spread", "snapshot_at",
     "write_change_stream",

@@ -171,15 +171,16 @@ def _load_snapshots(sc: Scenario) -> list[Snapshot]:
     return [snapshot_at(records, t, policy) for t in sc.snapshot_times]
 
 
-def _run_static(algo: str, g: Snapshot, sc: Scenario) -> SeedResult:
+def _run_static(algo: str, g: Snapshot, k: int, theta: float, runs: int,
+                seed: int) -> SeedResult:
     if algo == "greedy":
-        return greedy_select(g, sc.k, sc.select_runs, sc.select_seed)
+        return greedy_select(g, k, runs, seed)
     if algo == "mia":
-        return mia_select(g, sc.k, sc.theta)
+        return mia_select(g, k, theta)
     if algo == "degree":
-        return degree_select(g, sc.k)
+        return degree_select(g, k)
     if algo == "random":
-        return random_select(g, sc.k, sc.select_seed)
+        return random_select(g, k, seed)
     raise ScenarioError("algos", f"unknown algorithm {algo!r}")
 
 
@@ -203,7 +204,8 @@ def run_benchmark(sc: Scenario) -> dict:
                                     pad=True)
                 prev_inc = res
             else:
-                res = _run_static(algo, g_new, sc)
+                res = _run_static(algo, g_new, sc.k, sc.theta,
+                                  sc.select_runs, sc.select_seed)
             est = simulate_spread(g_new, res.seeds, sc.eval_runs,
                                   sc.eval_seed)
             ratios = res.params.get("prune_ratios", [])

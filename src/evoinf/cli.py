@@ -13,7 +13,8 @@ import sys
 from pathlib import Path
 
 from . import analytics
-from .bench import parse_scenario, report_csv, report_json, run_benchmark
+from .bench import (_run_static, parse_scenario, report_csv, report_json,
+                    run_benchmark)
 from .errors import EvoinfError, InvalidConfig
 from .generate import GenConfig, generate_evolving
 from .graph import (GraphBuilder, RemoveNode, Snapshot,
@@ -22,8 +23,6 @@ from .graph import (GraphBuilder, RemoveNode, Snapshot,
 from .incremental import EvolutionContext, PruneConfig, _incinf
 from .ingest import (load_temporal_edges, parse_prob_policy, snapshot_at,
                      write_id_map)
-from .select import (degree_select, greedy_select, mia_select,
-                     random_select)
 from .simulate import simulate_spread
 
 
@@ -165,14 +164,7 @@ def cmd_diff(args) -> int:
 
 def cmd_select(args) -> int:
     g = _load_graph(args)
-    if args.algo == "greedy":
-        res = greedy_select(g, args.k, args.runs, args.seed)
-    elif args.algo == "mia":
-        res = mia_select(g, args.k, args.theta)
-    elif args.algo == "degree":
-        res = degree_select(g, args.k)
-    else:
-        res = random_select(g, args.k, args.seed)
+    res = _run_static(args.algo, g, args.k, args.theta, args.runs, args.seed)
     _emit(args, json.dumps(res.to_dict(), indent=2))
     return 0
 
@@ -359,6 +351,13 @@ def _check_ranges(args) -> None:
     theta = getattr(args, "theta", None)
     if theta is not None and not (0.0 < theta < 1.0):
         raise InvalidConfig(f"--theta must be in (0, 1), got {theta}")
+    ats = [(name, getattr(args, name, None))
+           for name in ("at", "at_old", "at_new")]
+    ats += [("at_list", at) for at in getattr(args, "at_list", None) or ()]
+    for name, at in ats:
+        if at is not None and at < 0:
+            raise InvalidConfig(f"--{name.replace('_', '-')} must be >= 0, "
+                                f"got {at}")
     for name in ("k", "runs"):
         value = getattr(args, name, None)
         if value is not None and value < 1:

@@ -59,22 +59,10 @@ ChangeStream = list  # list[Change]; kept a plain list on purpose
 class _ReadGraph:
     """Read interface shared by Snapshot and GraphBuilder.
 
-    Subclasses hold mirrored out- and in-adjacency dicts (`_out`, `_in`) and
-    the per-node sorted-row caches (`_out_sorted`, `_in_sorted`); a mutating
-    subclass must drop a node's cached rows whenever it changes them.
+    Subclasses hold mirrored out- and in-adjacency dicts (`_out`, `_in`).
     """
 
     __slots__ = ()
-
-    def sorted_row(self, u: int, direction: str) -> list[tuple[int, float]]:
-        """(neighbor, prob) pairs sorted by descending prob, then node id."""
-        cache = self._out_sorted if direction == "out" else self._in_sorted
-        row = cache.get(u)
-        if row is None:
-            raw = self._out[u] if direction == "out" else self._in[u]
-            row = sorted(raw.items(), key=lambda kv: (-kv[1], kv[0]))
-            cache[u] = row
-        return row
 
     def has_node(self, u: int) -> bool:
         return u in self._out
@@ -149,6 +137,16 @@ class Snapshot(_ReadGraph):
         self._in_sorted: dict[int, list[tuple[int, float]]] = {}
         self._reach = None  # evoinf.simulate's kernel, built on first use
 
+    def sorted_row(self, u: int, direction: str) -> list[tuple[int, float]]:
+        """(neighbor, prob) pairs sorted by descending prob, then node id."""
+        cache = self._out_sorted if direction == "out" else self._in_sorted
+        row = cache.get(u)
+        if row is None:
+            raw = self._out[u] if direction == "out" else self._in[u]
+            row = sorted(raw.items(), key=lambda kv: (-kv[1], kv[0]))
+            cache[u] = row
+        return row
+
     @classmethod
     def build(cls, nodes: Iterable[int] = (),
               edges: Iterable[tuple[int, int, float]] = (),
@@ -204,40 +202,31 @@ class GraphBuilder(_ReadGraph):
     """Mutable working graph with the same read interface as Snapshot.
 
     Used for applying change streams efficiently (copy-on-write against a
-    base snapshot) and as the incremental engine's working graph. Single
-    writer; not safe for concurrent mutation.
+    base snapshot) and for building snapshots. Single writer; not safe for
+    concurrent mutation.
     """
 
     def __init__(self, base: Snapshot | None = None):
         if base is None:
             self._out: dict[int, dict[int, float]] = {}
             self._in: dict[int, dict[int, float]] = {}
-            self._owned_out: set[int] = set()
-            self._owned_in: set[int] = set()
-            self._shared = False
         else:
             self._out = dict(base._out)
             self._in = dict(base._in)
-            self._owned_out = set()
-            self._owned_in = set()
-            self._shared = True
-        self._out_sorted: dict[int, list[tuple[int, float]]] = {}
-        self._in_sorted: dict[int, list[tuple[int, float]]] = {}
+        self._owned_out: set[int] = set()
+        self._owned_in: set[int] = set()
 
-    def _invalidate_rows(self, u: int, v: int) -> None:
-        self._out_sorted.pop(u, None)
-        self._in_sorted.pop(v, None)
-
-    # row ownership: inner dicts of a base snapshot are copied on first write
+    # row ownership: inner dicts of a base or frozen snapshot are copied on
+    # first write; rows created by AddNode are owned from the start
 
     def _own_out(self, u: int) -> dict[int, float]:
-        if self._shared and u not in self._owned_out:
+        if u not in self._owned_out:
             self._out[u] = dict(self._out[u])
             self._owned_out.add(u)
         return self._out[u]
 
     def _own_in(self, u: int) -> dict[int, float]:
-        if self._shared and u not in self._owned_in:
+        if u not in self._owned_in:
             self._in[u] = dict(self._in[u])
             self._owned_in.add(u)
         return self._in[u]
@@ -251,9 +240,8 @@ class GraphBuilder(_ReadGraph):
                 raise PreconditionViolation(c, f"node {c.node} already present")
             self._out[c.node] = {}
             self._in[c.node] = {}
-            if self._shared:
-                self._owned_out.add(c.node)
-                self._owned_in.add(c.node)
+            self._owned_out.add(c.node)
+            self._owned_in.add(c.node)
         elif isinstance(c, RemoveNode):
             u = c.node
             if u not in self._out:
@@ -265,8 +253,6 @@ class GraphBuilder(_ReadGraph):
             del self._in[u]
             self._owned_out.discard(u)
             self._owned_in.discard(u)
-            self._out_sorted.pop(u, None)
-            self._in_sorted.pop(u, None)
         elif isinstance(c, AddEdge):
             u, v, p = c.source, c.target, c.prob
             if u == v:
@@ -282,14 +268,12 @@ class GraphBuilder(_ReadGraph):
                     c, f"probability {p} outside (0, 1]")
             self._own_out(u)[v] = p
             self._own_in(v)[u] = p
-            self._invalidate_rows(u, v)
         elif isinstance(c, RemoveEdge):
             u, v = c.source, c.target
             if not self.has_edge(u, v):
                 raise PreconditionViolation(c, f"edge ({u},{v}) not present")
             del self._own_out(u)[v]
             del self._own_in(v)[u]
-            self._invalidate_rows(u, v)
         elif isinstance(c, (AddWeight, DecWeight)):
             u, v = c.source, c.target
             if not self.has_edge(u, v):
@@ -301,7 +285,6 @@ class GraphBuilder(_ReadGraph):
                     c, f"resulting probability {nw} outside (0, 1]")
             self._own_out(u)[v] = nw
             self._own_in(v)[u] = nw
-            self._invalidate_rows(u, v)
         else:
             raise PreconditionViolation(c, f"unknown change type {type(c)}")
 
@@ -321,7 +304,6 @@ class GraphBuilder(_ReadGraph):
         self._in = dict(self._in)
         self._owned_out = set()
         self._owned_in = set()
-        self._shared = True
         return snap
 
 

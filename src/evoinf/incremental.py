@@ -10,8 +10,9 @@ every other node's delta is exactly zero.
 
 The per-change kernels (`delta_add_edge`, `delta_remove_edge`, `delta_node`,
 folded over `EvolutionContext.kernel_stream` on a `GraphBuilder` of the old
-snapshot) compute the same table change by change. Nothing in the package
-calls them; they stay as a plain oracle for the tests.
+snapshot) build the same table change by change: each edge kernel adds
+`accumulate_deltas` of its one-change transition. Nothing in the package
+calls them; the tests fold them to check a stream's table against its steps.
 
 Selection then prunes: a node is only worth re-evaluating if its spread grew
 more than the previous holder of the seat did, or (when the previous seat
@@ -48,9 +49,10 @@ class DeltaTable:
     """Per-node localized-spread change accumulated over a change stream.
 
     Nodes never touched by any change have no entry and count as zero.
-    `born` and `removed` track stream-level node lifecycle: a freshly added
-    node carries a +1 standalone-spread delta that does not count as growth
-    when candidates are compared against the previous seeds.
+    `born` holds the nodes of the new snapshot absent from the old one, and
+    `removed` the reverse. A born node's delta includes its +1 standalone
+    spread, which does not count as growth when candidates are compared
+    against the previous seeds.
     """
     values: dict[int, float] = field(default_factory=dict)
     born: set[int] = field(default_factory=set)
@@ -165,88 +167,55 @@ class EvolutionContext:
         return got
 
 
-def _edge_gains(w: GraphBuilder, u: int, v: int, p: float, theta: float,
-                table: DeltaTable, sign: float) -> None:
-    """Spread gained by adding edge (u, v, p) to the working graph w.
+def _fold_edge_change(w: GraphBuilder, change: Change, theta: float,
+                      table: DeltaTable) -> DeltaTable:
+    """Apply one edge change to w and add the deltas of that transition.
 
-    w must not hold the edge. Only pairs whose composite path i -> u -> v -> j
-    clears the regions' cut `theta_floor(theta)` can contribute, so the
-    endpoint regions are explored only down to floor/p and filtered exactly
-    afterwards. The old best paths of each surviving source i are read off
-    its full theta out-region: a target j without one gains the whole
-    composite path, any other gains what the composite path improves on it.
-    So an edge no better than an existing path between its endpoints gains
-    nothing. Each gain is credited to i multiplied by `sign`.
+    The deltas are `accumulate_deltas` of the one-change context between the
+    snapshots frozen from w before and after the change.
     """
-    floor = theta_floor(theta)
-    if p < floor:
-        return
-    theta_end = _end_theta(p, floor)
-    in_u = local_region(w, u, "in", theta_end).members
-    out_v = local_region(w, v, "out", theta_end).members
-    src_w = {i: e[0] * p for i, e in in_u.items() if e[0] * p >= floor}
-    dst_w = sorted((j, e[0]) for j, e in out_v.items() if p * e[0] >= floor)
-    for i, i_w in sorted(src_w.items()):
-        old_paths = local_region(w, i, "out", theta).members
-        for j, j_w in dst_w:
-            cand = i_w * j_w
-            old = old_paths.get(j)
-            if old is not None:
-                gain = cand - old[0]
-            elif cand >= floor:
-                gain = cand
-            else:
-                continue
-            if gain > 0.0:
-                table.add(i, sign * gain)
+    before = w.freeze()
+    w.apply(change)  # validates the change
+    ctx = EvolutionContext(before, w.freeze(), [change], verify=False)
+    for v, d in accumulate_deltas(ctx, frozenset(), theta).values.items():
+        table.add(v, d)
+    return table
 
 
 def delta_add_edge(w: GraphBuilder, change: AddEdge, theta: float,
                    table: DeltaTable) -> DeltaTable:
-    """Spread deltas caused by one edge addition; applies it to w.
-
-    The gains are those of `_edge_gains` on the graph before the addition.
-    """
-    u, v, p = change.source, change.target, change.prob
-    if u == v or not w.has_node(u) or not w.has_node(v) or w.has_edge(u, v) \
-            or not (0.0 < p <= 1.0):
-        raise PreconditionViolation(change, "invalid edge addition")
-    _edge_gains(w, u, v, p, theta, table, 1.0)
-    w.apply(change)
-    return table
+    """Spread deltas caused by one edge addition; applies it to w."""
+    return _fold_edge_change(w, change, theta, table)
 
 
 def delta_remove_edge(w: GraphBuilder, change: RemoveEdge, theta: float,
                       table: DeltaTable) -> DeltaTable:
-    """Spread deltas caused by one edge removal; applies it to w.
-
-    Removing e from G loses exactly what adding e to G - e gains, so the
-    edge is removed first and the addition's gains are negated.
-    """
-    u, v = change.source, change.target
-    if not w.has_edge(u, v):
-        raise PreconditionViolation(change, f"edge ({u},{v}) not present")
-    p = w.prob(u, v)
-    w.apply(change)
-    _edge_gains(w, u, v, p, theta, table, -1.0)
-    return table
+    """Spread deltas caused by one edge removal; applies it to w."""
+    return _fold_edge_change(w, change, theta, table)
 
 
 def delta_node(w: GraphBuilder, change: Change,
                table: DeltaTable) -> DeltaTable:
     """Node lifecycle deltas: +1 standalone spread on add, -1 on removal.
 
-    A removed node is additionally marked ineligible for selection.
+    `born` and `removed` follow membership in the snapshots at both ends of
+    the fold: re-adding a removed id, or removing an added one, undoes the
+    mark instead of setting the other one.
     """
     if isinstance(change, AddNode):
         w.apply(change)
         table.add(change.node, 1.0)
-        table.born.add(change.node)
-        table.removed.discard(change.node)
+        if change.node in table.removed:
+            table.removed.discard(change.node)
+        else:
+            table.born.add(change.node)
     elif isinstance(change, RemoveNode):
         w.apply(change)  # validates the zero-degree precondition
         table.add(change.node, -1.0)
-        table.removed.add(change.node)
+        if change.node in table.born:
+            table.born.discard(change.node)
+        else:
+            table.removed.add(change.node)
     else:
         raise PreconditionViolation(change, "not a node change")
     return table
@@ -269,26 +238,29 @@ def accumulate_deltas(ctx: EvolutionContext, seeds, theta: float
     influence maintenance, Ohsaka et al., VLDB 2016).
 
     The stream is replayed on a working copy of the old snapshot, so an
-    invalid change raises `PreconditionViolation`. Deltas are
-    standalone-spread changes: `seeds` must be empty.
+    invalid change raises `PreconditionViolation`. `born` and `removed` are
+    the stream's node ids by snapshot membership, so a removed and re-added
+    id is neither. Deltas are standalone-spread changes: `seeds` must be
+    empty.
     """
     if frozenset(seeds):
         raise ValueError("seeded deltas are not supported; pass an empty "
                          "seed set")
     _check_theta(theta)
     g_old, g_new = ctx.g_old, ctx.g_new
-    table = DeltaTable()
     replay = GraphBuilder(g_old)
     touched: set[tuple[int, int]] = set()
+    nodes: set[int] = set()
     for c in ctx.stream:
         replay.apply(c)  # validates the change against the graph so far
-        if isinstance(c, AddNode):
-            table.born.add(c.node)
-            table.removed.discard(c.node)
-        elif isinstance(c, RemoveNode):
-            table.removed.add(c.node)
+        if isinstance(c, (AddNode, RemoveNode)):
+            nodes.add(c.node)
         else:
             touched.add((c.source, c.target))
+    table = DeltaTable(
+        born={v for v in nodes if g_new.has_node(v) and not g_old.has_node(v)},
+        removed={v for v in nodes
+                 if g_old.has_node(v) and not g_new.has_node(v)})
 
     floor = theta_floor(theta)
     affected = table.born | table.removed
@@ -307,7 +279,7 @@ def accumulate_deltas(ctx: EvolutionContext, seeds, theta: float
     for v in sorted(affected):
         d = (mia_spread(g_new, v, (), theta) if g_new.has_node(v) else 0.0) \
             - (mia_spread(g_old, v, (), theta) if g_old.has_node(v) else 0.0)
-        if d != 0.0 or v in table.born or v in table.removed:
+        if d != 0.0:
             table.values[v] = d
     return table
 

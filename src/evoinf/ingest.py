@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidProbability, ParseError
+from .errors import InvalidConfig, InvalidProbability, ParseError
 from .graph import GraphBuilder, AddEdge, AddNode, Snapshot
 
 TRIVALENCY = (0.1, 0.01, 0.001)
@@ -44,6 +44,8 @@ class TrivalencyProb:
     """
 
     def __init__(self, seed: int = 0):
+        if seed < 0:  # numpy's SeedSequence takes only non-negative entropy
+            raise InvalidConfig(f"trivalency seed must be >= 0, got {seed}")
         self.seed = seed
 
     def prob_for(self, u: int, v: int) -> float:

@@ -2,15 +2,17 @@
 
 The influence a node exerts is approximated by restricting propagation to
 paths whose probability stays at or above a threshold theta. The best path
-between two nodes maximizes the product of edge probabilities and is found
-by best-first search over those products; the theta prune keeps every
+between two nodes maximizes the product of edge probabilities; one
+best-first search over those products from a root finds the best paths to
+or from every node that clears theta, as the parent pointers of a local
+region (an arborescence rooted there). The theta prune keeps every
 retained probability bounded away from zero. The cut itself carries a
 1e-12 relative tolerance (measured in the log domain, where it is scale
 free) so that products landing exactly on theta up to rounding are treated
 consistently everywhere.
 
-All operations are pure functions of the graph; they are safe to call
-concurrently on a shared snapshot.
+All operations are pure functions of a snapshot; they are safe to call
+concurrently on a shared one.
 """
 
 from __future__ import annotations
@@ -25,13 +27,6 @@ from .errors import InvalidConfig, UnknownNode
 #   prob      product of edge probabilities along the tree path
 #   parent    next hop toward the root (None for the root itself)
 #   edge_prob probability of the edge between node and parent
-
-
-@dataclass(frozen=True)
-class MaxInfluencePath:
-    """Best path u -> v; prob is the product of its edge probabilities."""
-    nodes: tuple[int, ...]
-    prob: float
 
 
 @dataclass
@@ -79,8 +74,7 @@ def theta_floor(theta: float) -> float:
     return math.exp(-(cutoff + tol))
 
 
-def _search(g, root: int, theta: float, direction: str,
-            target: int | None = None):
+def _search(g, root: int, theta: float, direction: str):
     """Best-first expansion from root pruned at theta.
 
     Heap keys are (-prob, hops, path), which makes the pop order a total
@@ -91,13 +85,10 @@ def _search(g, root: int, theta: float, direction: str,
     descending probability order, so a scan stops at the first neighbor
     whose extension falls under the floor.
 
-    Returns (members, target_path): members as in LocalRegion, and the full
-    node sequence of the target's best path when a target was given and
-    reached.
+    Returns the members as in LocalRegion.
     """
     floor = theta_floor(theta)
     members: dict[int, tuple[float, int | None, float]] = {}
-    target_path = None
     heap = [(-1.0, 0, (root,), 1.0)]  # -prob, hops, path, edge_prob
     push, pop = heappush, heappop
     row_of = g.sorted_row
@@ -108,9 +99,6 @@ def _search(g, root: int, theta: float, direction: str,
             continue
         prob = -neg_prob
         members[u] = (prob, path[-2] if hops else None, edge_p)
-        if target is not None and u == target:
-            target_path = path
-            break
         nh = hops + 1
         for v, p in row_of(u, direction):
             np_ = prob * p
@@ -119,24 +107,7 @@ def _search(g, root: int, theta: float, direction: str,
             if v in members:
                 continue
             push(heap, (-np_, nh, path + (v,), p))
-    return members, target_path
-
-
-def mip(g, u: int, v: int, theta: float) -> MaxInfluencePath | None:
-    """Maximum-probability path from u to v, or None if it falls below theta.
-
-    Ties between equal-probability paths go to the one with fewer hops, then
-    to the smallest lexicographic node sequence.
-    """
-    if u not in g:
-        raise UnknownNode(f"node {u} not in graph")
-    if v not in g:
-        raise UnknownNode(f"node {v} not in graph")
-    _check_theta(theta)
-    members, path = _search(g, u, theta, "out", target=v)
-    if path is None:
-        return None
-    return MaxInfluencePath(path, members[v][0])
+    return members
 
 
 def local_region(g, root: int, direction: str, theta: float) -> LocalRegion:
@@ -146,7 +117,7 @@ def local_region(g, root: int, direction: str, theta: float) -> LocalRegion:
     if direction not in ("in", "out"):
         raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
     _check_theta(theta)
-    members, _ = _search(g, root, theta, direction)
+    members = _search(g, root, theta, direction)
     return LocalRegion(root, direction, theta, members)
 
 

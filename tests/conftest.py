@@ -37,8 +37,8 @@ from evoinf import (AddEdge, AddNode, AddWeight, DecWeight, DeltaTable,
 def fold_kernels(ctx, theta: float) -> DeltaTable:
     """The per-change kernels folded over the decomposed stream.
 
-    This is the change-by-change computation `accumulate_deltas` replaced;
-    the tests keep it as an independent oracle for the delta table.
+    Each edge kernel adds the table of its one-change transition, so the
+    fold checks that a stream's table is the sum of its steps' tables.
     """
     w = GraphBuilder(ctx.g_old)
     table = DeltaTable()

@@ -351,7 +351,8 @@ def test_cli_emit_deltas_reuses_the_selection_table(tmp_path, tiny_streams,
     "select --theta 0", "select --theta 1", "select --theta nan",
     "select --k -2", "select --runs 0", "incinf --theta 0", "incinf --k 0",
     "incinf --eta 0", "evaluate --runs 0", "analyze --seeds 9999",
-    "gen --extra-edge-fraction nan",
+    "gen --extra-edge-fraction nan", "gen --seed -1", "select --at -1",
+    "incinf --at-old -1",
 ])
 def test_cli_rejects_out_of_range_options(tiny_streams, capsys, case):
     command, *option = case.split()

@@ -6,9 +6,9 @@ import pytest
 from evoinf import (AddEdge, AddNode, DeltaTable, EvolutionContext,
                     GraphBuilder, InsufficientSeeds, InvalidConfig,
                     PreconditionViolation, PruneConfig, RemoveEdge,
-                    RemoveNode, Snapshot, accumulate_deltas, delta_add_edge,
-                    delta_node, delta_remove_edge, diff, incinf_select,
-                    mia_select, mia_spread, prune)
+                    RemoveNode, Snapshot, accumulate_deltas, apply_all,
+                    delta_add_edge, delta_node, delta_remove_edge, diff,
+                    incinf_select, mia_select, mia_spread, prune)
 from evoinf.localize import theta_floor
 from conftest import fold_kernels, random_graph, random_stream
 
@@ -105,9 +105,23 @@ def test_node_lifecycle_deltas():
     table = accumulate_deltas(ctx, frozenset(), 0.1)
     assert table.get(7) == 1.0 and 7 in table.born and 7 not in table.removed
 
+    # 7 is in neither snapshot, so it is neither born nor removed
     ctx = EvolutionContext.from_stream(g, [AddNode(7), RemoveNode(7)])
     table = accumulate_deltas(ctx, frozenset(), 0.1)
-    assert table.get(7) == 0.0 and 7 in table.removed
+    assert table.values == {} and table.born == table.removed == set()
+
+
+def test_readded_node_gives_the_same_table_from_stream_and_snapshots():
+    # removing and re-adding node 0 leaves it in both snapshots: not born
+    g = Snapshot.build([0, 1, 2], [(0, 1, 0.5), (1, 2, 0.5)])
+    stream = [RemoveEdge(0, 1), RemoveNode(0), AddNode(0), AddEdge(0, 1, 0.5)]
+    via_stream = accumulate_deltas(EvolutionContext.from_stream(g, stream),
+                                   frozenset(), 0.1)
+    via_snapshots = accumulate_deltas(
+        EvolutionContext.from_snapshots(g, apply_all(g, stream)),
+        frozenset(), 0.1)
+    assert via_stream == via_snapshots
+    assert via_stream.born == set() and via_stream.growth(0) == 0.0
 
 
 def test_kernels_validate_changes():

@@ -1,7 +1,8 @@
 import pytest
 
-from evoinf import (InvalidProbability, ParseError, TrivalencyProb,
-                    load_temporal_edges, parse_prob_policy, snapshot_at)
+from evoinf import (InvalidConfig, InvalidProbability, ParseError,
+                    TrivalencyProb, load_temporal_edges, parse_prob_policy,
+                    snapshot_at)
 from evoinf.ingest import FixedProb, TRIVALENCY, write_id_map
 
 
@@ -99,6 +100,9 @@ def test_parse_prob_policy():
         parse_prob_policy("fixed:1.5")
     with pytest.raises(InvalidProbability):
         parse_prob_policy("nonsense")
+    # numpy's SeedSequence would fail on the first draw instead
+    with pytest.raises(InvalidConfig):
+        parse_prob_policy("trivalency", -1)
 
 
 def test_id_map_sidecar(tmp_path):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from evoinf import (InvalidConfig, Snapshot, UnknownNode, activation_prob,
-                    local_region, mia_spread, mip)
+                    local_region, mia_spread)
 from evoinf.localize import theta_floor
 from conftest import random_graph
 
@@ -63,56 +63,64 @@ def activation_table(region, seeds):
     return ap
 
 
+def region_path(region, v):
+    """Best root -> v path of an out-region, read off its parent pointers."""
+    path = [v]
+    while region.parent_of(path[-1]) is not None:
+        path.append(region.parent_of(path[-1]))
+    return tuple(reversed(path))
+
+
 def test_mip_chain_product():
     g = Snapshot.build([0, 1, 2], [(0, 1, 0.5), (1, 2, 0.4)])
-    m = mip(g, 0, 2, 0.1)
-    assert m.nodes == (0, 1, 2)
-    assert math.isclose(m.prob, 0.2, rel_tol=1e-12)
+    r = local_region(g, 0, "out", 0.1)
+    assert region_path(r, 2) == (0, 1, 2)
+    assert math.isclose(r.prob_of(2), 0.2, rel_tol=1e-12)
 
 
 def test_mip_argmax_and_threshold():
     g = Snapshot.build([0, 1, 2], [(0, 2, 0.3), (0, 1, 0.5), (1, 2, 0.5)])
-    m = mip(g, 0, 2, 0.01)
-    assert m.nodes == (0, 2) and m.prob == 0.3
-    assert mip(g, 0, 2, 0.35) is None
-    assert mip(g, 2, 0, 0.01) is None  # no reverse path at all
+    r = local_region(g, 0, "out", 0.01)
+    assert region_path(r, 2) == (0, 2) and r.prob_of(2) == 0.3
+    assert 2 not in local_region(g, 0, "out", 0.35)
+    assert 0 not in local_region(g, 2, "out", 0.01)  # no reverse path at all
 
 
 def test_mip_tie_breaks_to_fewer_hops():
     # 0.2 * 0.5 is exactly 0.1 in floats, tying the direct edge
     g = Snapshot.build([0, 1, 2], [(0, 2, 0.1), (0, 1, 0.2), (1, 2, 0.5)])
-    m = mip(g, 0, 2, 0.01)
-    assert m.nodes == (0, 2)
+    assert region_path(local_region(g, 0, "out", 0.01), 2) == (0, 2)
 
 
 def test_mip_tie_breaks_lexicographically():
     # two 2-hop routes with identical probability multisets
     g = Snapshot.build([0, 1, 2, 3],
                        [(0, 1, 0.5), (1, 3, 0.2), (0, 2, 0.2), (2, 3, 0.5)])
-    m = mip(g, 0, 3, 0.01)
-    assert m.nodes == (0, 1, 3)
+    assert region_path(local_region(g, 0, "out", 0.01), 3) == (0, 1, 3)
 
 
 def test_mip_unknown_node():
     g = Snapshot.build([0])
     with pytest.raises(UnknownNode):
-        mip(g, 0, 9, 0.1)
+        local_region(g, 9, "out", 0.1)
 
 
 def test_mip_beats_enumerated_paths():
+    # the parent pointers spell a real path whose product is the best one
     rng = random.Random(37)
     for _ in range(30):
         g = random_graph(rng, 8, 1.6)
         nodes = sorted(g.nodes())
         u, v = rng.sample(nodes, 2)
-        best = max((p for p, _ in enumerate_simple_paths(g, u, v)),
-                   default=None)
-        m = mip(g, u, v, 1e-9)
-        if best is None:
-            assert m is None
+        paths = {path: p for p, path in enumerate_simple_paths(g, u, v)}
+        region = local_region(g, u, "out", 1e-9)
+        if not paths:
+            assert v not in region
         else:
-            assert m is not None
-            assert math.isclose(m.prob, best, rel_tol=1e-12)
+            path = region_path(region, v)
+            assert paths[path] == region.prob_of(v)
+            assert math.isclose(region.prob_of(v), max(paths.values()),
+                                rel_tol=1e-12)
 
 
 def test_local_region_trivial_and_star():
@@ -134,6 +142,7 @@ def test_local_region_depth_cut():
 
 
 def test_local_region_membership_matches_mip():
+    # a node is a member iff its best enumerated path clears the theta floor
     rng = random.Random(5)
     for _ in range(20):
         g = random_graph(rng, 10, 1.8)
@@ -141,11 +150,12 @@ def test_local_region_membership_matches_mip():
         theta = rng.choice([0.3, 0.1, 0.05])
         region = local_region(g, root, "out", theta)
         for v in g.nodes():
-            m = mip(g, root, v, theta)
+            best = max((p for p, _ in enumerate_simple_paths(g, root, v)),
+                       default=0.0)
             if v in region.members:
-                assert m is not None and m.prob == region.prob_of(v)
+                assert region.prob_of(v) == best
             else:
-                assert m is None
+                assert best < theta_floor(theta)
 
 
 def test_in_region_mirrors_reverse_reachability():
@@ -255,7 +265,6 @@ def test_theta_boundary_is_inclusive():
 def test_theta_outside_unit_interval_rejected(theta):
     g = Snapshot.build([0, 1], [(0, 1, 0.5)])
     for call in (lambda: local_region(g, 0, "out", theta),
-                 lambda: mip(g, 0, 1, theta),
                  lambda: mia_spread(g, 0, set(), theta)):
         with pytest.raises(InvalidConfig):
             call()
