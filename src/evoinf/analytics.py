@@ -65,7 +65,9 @@ def pa_correlation(g_old: Snapshot, g_new: Snapshot
     Buckets nodes present in both snapshots by their in-degree in the old
     snapshot (log-binned like the degree histogram: bucket key is the bin's
     lower bound) and reports (mean newly acquired in-edges, sample count)
-    per bucket. Under preferential attachment the means grow with degree.
+    per bucket. A newly acquired in-edge of u is an edge (w, u) of g_new
+    that g_old lacks, so removed edges do not count against it and every
+    mean is >= 0. Under preferential attachment the means grow with degree.
     """
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
@@ -74,7 +76,8 @@ def pa_correlation(g_old: Snapshot, g_new: Snapshot
             continue
         d = g_old.in_degree(u)
         binlow = 0 if d == 0 else 1 << int(math.floor(math.log2(d)))
-        gained = g_new.in_degree(u) - g_old.in_degree(u)
+        old_in = g_old.in_neighbors(u)
+        gained = sum(1 for w in g_new.in_neighbors(u) if w not in old_in)
         sums[binlow] = sums.get(binlow, 0.0) + gained
         counts[binlow] = counts.get(binlow, 0) + 1
     return {b: (sums[b] / counts[b], counts[b]) for b in sorted(sums)}

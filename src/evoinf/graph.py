@@ -10,6 +10,7 @@ changes before it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import ParseError, PreconditionViolation
@@ -121,6 +122,11 @@ class Snapshot(_ReadGraph):
     Instances may share adjacency dictionaries with the snapshots they were
     derived from; nothing mutates them after construction, so they are safe
     to read from any number of threads.
+
+    `sorted_row` caches each row it builds, as a tuple, for the life of the
+    snapshot. It holds at most one row per node and direction, so the two
+    caches hold at most 2n rows and 2m pairs: O(n + m), like the adjacency
+    itself, however many searches run.
     """
 
     __slots__ = ("label", "_out", "_in", "_out_sorted", "_in_sorted", "_reach")
@@ -132,19 +138,25 @@ class Snapshot(_ReadGraph):
         self._in = inn
         self.label = label
         # lazily built per-node rows sorted by descending probability; the
-        # path searches early-break on them
-        self._out_sorted: dict[int, list[tuple[int, float]]] = {}
-        self._in_sorted: dict[int, list[tuple[int, float]]] = {}
+        # path searches early-break on them (`localize._search` reads these
+        # dicts directly and fills them through sorted_row)
+        self._out_sorted: dict[int, tuple[tuple[int, float], ...]] = {}
+        self._in_sorted: dict[int, tuple[tuple[int, float], ...]] = {}
         self._reach = None  # evoinf.simulate's kernel, built on first use
 
-    def sorted_row(self, u: int, direction: str) -> list[tuple[int, float]]:
+    def sorted_row(self, u: int, direction: str
+                   ) -> tuple[tuple[int, float], ...]:
         """(neighbor, prob) pairs sorted by descending prob, then node id."""
         cache = self._out_sorted if direction == "out" else self._in_sorted
         row = cache.get(u)
         if row is None:
             raw = self._out[u] if direction == "out" else self._in[u]
-            row = sorted(raw.items(), key=lambda kv: (-kv[1], kv[0]))
-            cache[u] = row
+            # by id (keys are unique), then a stable sort by descending
+            # prob: the order of the key (-prob, id) without a Python key
+            # function per pair
+            pairs = sorted(raw.items())
+            pairs.sort(key=itemgetter(1), reverse=True)
+            row = cache[u] = tuple(pairs)
         return row
 
     @classmethod

@@ -30,7 +30,7 @@ from .errors import (EmptyGraph, InsufficientSeeds, InvalidConfig,
 from .graph import (AddEdge, AddNode, AddWeight, Change, ChangeStream,
                     DecWeight, GraphBuilder, RemoveEdge, RemoveNode, Snapshot,
                     apply_all, decompose_weight_change, diff)
-from .localize import _check_theta, local_region, mia_spread, theta_floor
+from .localize import _check_theta, local_region, theta_floor
 from .select import MiaSelector, SeedResult, _check_k, mia_select
 
 
@@ -276,9 +276,11 @@ def accumulate_deltas(ctx: EvolutionContext, seeds, theta: float
             affected.update(
                 local_region(g, a, "in", _end_theta(p, floor)).members)
 
+    spread_new = MiaSelector(g_new, theta).base  # = mia_spread(g, v, ())
+    spread_old = MiaSelector(g_old, theta).base
     for v in sorted(affected):
-        d = (mia_spread(g_new, v, (), theta) if g_new.has_node(v) else 0.0) \
-            - (mia_spread(g_old, v, (), theta) if g_old.has_node(v) else 0.0)
+        d = (spread_new(v) if g_new.has_node(v) else 0.0) \
+            - (spread_old(v) if g_old.has_node(v) else 0.0)
         if d != 0.0:
             table.values[v] = d
     return table

@@ -74,12 +74,16 @@ def theta_floor(theta: float) -> float:
     return math.exp(-(cutoff + tol))
 
 
-def _search(g, root: int, theta: float, direction: str):
-    """Best-first expansion from root pruned at theta.
+def _search(g, root: int, floor: float, direction: str):
+    """Best-first expansion from root pruned at `floor` (see `theta_floor`).
 
-    Heap keys are (-prob, hops, path), which makes the pop order a total
-    order independent of adjacency iteration order: equal-probability paths
-    resolve to fewer hops, then to the smallest lexicographic node sequence.
+    Heap entries are (-prob, hops, parent_path, node, edge_prob). For equal
+    hops the parent paths have equal length, so comparing
+    (parent_path, node) compares the full paths: the pop order is a total
+    order independent of adjacency iteration order, and equal-probability
+    paths resolve to fewer hops, then to the smallest lexicographic node
+    sequence. A node's path tuple is built at most once: when it settles
+    and some extension of it clears the floor.
     Probabilities stay in the product domain; the theta prune bounds them
     away from zero, so nothing underflows. Neighbor rows are scanned in
     descending probability order, so a scan stops at the first neighbor
@@ -87,26 +91,30 @@ def _search(g, root: int, theta: float, direction: str):
 
     Returns the members as in LocalRegion.
     """
-    floor = theta_floor(theta)
     members: dict[int, tuple[float, int | None, float]] = {}
-    heap = [(-1.0, 0, (root,), 1.0)]  # -prob, hops, path, edge_prob
+    heap = [(-1.0, 0, (), root, 1.0)]
     push, pop = heappush, heappop
-    row_of = g.sorted_row
+    row_of = (g._out_sorted if direction == "out" else g._in_sorted).get
     while heap:
-        neg_prob, hops, path, edge_p = pop(heap)
-        u = path[-1]
+        neg_prob, hops, parent_path, u, edge_p = pop(heap)
         if u in members:
             continue
         prob = -neg_prob
-        members[u] = (prob, path[-2] if hops else None, edge_p)
+        members[u] = (prob, parent_path[-1] if hops else None, edge_p)
+        row = row_of(u)
+        if row is None:
+            row = g.sorted_row(u, direction)
+        if not row or prob * row[0][1] < floor:
+            continue  # no extension clears the floor: u is a leaf
+        path = parent_path + (u,)
         nh = hops + 1
-        for v, p in row_of(u, direction):
+        for v, p in row:
             np_ = prob * p
             if np_ < floor:
                 break
             if v in members:
                 continue
-            push(heap, (-np_, nh, path + (v,), p))
+            push(heap, (-np_, nh, path, v, p))
     return members
 
 
@@ -117,7 +125,7 @@ def local_region(g, root: int, direction: str, theta: float) -> LocalRegion:
     if direction not in ("in", "out"):
         raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
     _check_theta(theta)
-    members = _search(g, root, theta, direction)
+    members = _search(g, root, theta_floor(theta), direction)
     return LocalRegion(root, direction, theta, members)
 
 

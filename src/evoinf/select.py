@@ -20,8 +20,8 @@ from heapq import heappush, heappop
 
 from .errors import EmptyGraph, InvalidConfig
 from .graph import Snapshot
-from .localize import (LocalRegion, _check_theta, activation_prob,
-                       local_region, region_weighted_sum)
+from .localize import (LocalRegion, _check_theta, _search, activation_prob,
+                       region_weighted_sum, theta_floor)
 from .simulate import _check_runs, _kernel
 
 
@@ -155,6 +155,7 @@ class MiaSelector:
     def __init__(self, g, theta: float):
         self.g = g
         self.theta = theta
+        self._floor = theta_floor(theta)
         self.seeds: list[int] = []
         self._seed_set: set[int] = set()
         self._ap: dict[int, float] = {}
@@ -162,27 +163,33 @@ class MiaSelector:
         self._penalty: dict[int, float] = {}
         self._in_cache: dict[int, LocalRegion] = {}
 
-    def _out_region(self, v: int) -> LocalRegion:
-        return local_region(self.g, v, "out", self.theta)
+    def _region(self, v: int, direction: str) -> LocalRegion:
+        return LocalRegion(v, direction, self.theta,
+                           _search(self.g, v, self._floor, direction))
 
     def _in_region(self, j: int) -> LocalRegion:
         got = self._in_cache.get(j)
         if got is None:
-            got = local_region(self.g, j, "in", self.theta)
-            self._in_cache[j] = got
+            got = self._in_cache[j] = self._region(j, "in")
+        return got
+
+    def base(self, v: int) -> float:
+        """Standalone localized spread of v: `mia_spread(g, v, (), theta)`."""
+        got = self._base.get(v)
+        if got is None:
+            got = self._base[v] = region_weighted_sum(
+                self._region(v, "out"), {})
         return got
 
     def gain(self, v: int) -> float:
-        base = self._base.get(v)
-        if base is None:
-            base = region_weighted_sum(self._out_region(v), {})
-            self._base[v] = base
-        return base - self._penalty.get(v, 0.0)
+        return self.base(v) - self._penalty.get(v, 0.0)
 
     def add_seed(self, s: int) -> None:
         self.seeds.append(s)
         self._seed_set.add(s)
-        for j in sorted(self._out_region(s).members):
+        penalty = self._penalty
+        get = penalty.get
+        for j in sorted(self._region(s, "out").members):
             in_r = self._in_region(j)
             new_ap = activation_prob(in_r, self._seed_set)
             old_ap = self._ap.get(j, 0.0)
@@ -190,18 +197,26 @@ class MiaSelector:
                 continue
             self._ap[j] = new_ap
             diff = new_ap - old_ap
-            penalty = self._penalty
             for v, entry in in_r.members.items():
-                penalty[v] = penalty.get(v, 0.0) + entry[0] * diff
+                penalty[v] = get(v, 0.0) + entry[0] * diff
 
     def best(self, candidates) -> tuple[int, float]:
-        """Argmax of gain over candidates; ties go to the smaller node id."""
+        """Argmax of gain over candidates; ties go to the smaller node id.
+
+        The candidates may come in any order.
+        """
+        cached_base, base = self._base.get, self.base
+        penalty, chosen = self._penalty.get, self._seed_set
         best_v, best_gain = None, None
-        for v in sorted(candidates):
-            if v in self._seed_set:
+        for v in candidates:
+            if v in chosen:
                 continue
-            gain = self.gain(v)
-            if best_gain is None or gain > best_gain:
+            b = cached_base(v)  # after the first round every base is cached
+            if b is None:
+                b = base(v)
+            gain = b - penalty(v, 0.0)
+            if (best_gain is None or gain > best_gain
+                    or (gain == best_gain and v < best_v)):
                 best_v, best_gain = v, gain
         if best_v is None:
             raise EmptyGraph("no candidates left to select from")

@@ -1,6 +1,7 @@
 """Shared helpers: seeded random graphs and sequentially valid change streams."""
 
 import random
+from heapq import heappop, heappush
 
 _acceptance_results = []
 _acceptance_details = {}
@@ -32,6 +33,7 @@ from evoinf import (AddEdge, AddNode, AddWeight, DecWeight, DeltaTable,
                     GraphBuilder, PreconditionViolation, RemoveEdge,
                     RemoveNode, Snapshot, delta_add_edge, delta_node,
                     delta_remove_edge)
+from evoinf.localize import theta_floor
 
 
 def fold_kernels(ctx, theta: float) -> DeltaTable:
@@ -50,6 +52,34 @@ def fold_kernels(ctx, theta: float) -> DeltaTable:
         else:
             delta_node(w, c, table)
     return table
+
+
+def reference_search(g, root: int, theta: float, direction: str) -> dict:
+    """The theta search as first written: the oracle of `local_region`.
+
+    Heap keys carry the full path (-prob, hops, path, edge_prob), the floor
+    is recomputed per search and every row is sorted afresh with a Python
+    key function. Returns the members in settle order.
+    """
+    floor = theta_floor(theta)
+    members = {}
+    heap = [(-1.0, 0, (root,), 1.0)]
+    while heap:
+        neg_prob, hops, path, edge_p = heappop(heap)
+        u = path[-1]
+        if u in members:
+            continue
+        prob = -neg_prob
+        members[u] = (prob, path[-2] if hops else None, edge_p)
+        raw = g.out_neighbors(u) if direction == "out" else g.in_neighbors(u)
+        for v, p in sorted(raw.items(), key=lambda kv: (-kv[1], kv[0])):
+            np_ = prob * p
+            if np_ < floor:
+                break
+            if v in members:
+                continue
+            heappush(heap, (-np_, hops + 1, path + (v,), p))
+    return members
 
 
 def random_graph(rng: random.Random, n: int, avg_deg: float,

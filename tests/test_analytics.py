@@ -62,6 +62,25 @@ def test_pa_correlation_ignores_departed_nodes():
     assert sum(n for _, n in curve.values()) == 2
 
 
+def test_pa_correlation_counts_only_new_in_edges():
+    a = Snapshot.build(range(5), [(0, 1, 0.5), (2, 1, 0.5), (3, 1, 0.5),
+                                  (4, 2, 0.5)])
+    # (0, 1) and (2, 1) go, (4, 1) and (0, 2) come: node 1 loses net in-degree
+    # but still acquired one in-edge
+    b = Snapshot.build(range(5), [(3, 1, 0.5), (4, 1, 0.5), (4, 2, 0.5),
+                                  (0, 2, 0.5)])
+    assert pa_correlation(a, b) == {0: (0.0, 3), 1: (1.0, 1), 2: (1.0, 1)}
+    # reversed: 1 gets (0, 1) and (2, 1) back, 2 gains nothing
+    assert pa_correlation(b, a) == {0: (0.0, 3), 2: (1.0, 2)}
+
+
+def test_pa_correlation_reversed_generator_output_gains_nothing():
+    snaps, _ = generate_evolving(
+        GenConfig(n0=10, steps=2, nodes_per_step=20, m=2, master_seed=1))
+    curve = pa_correlation(snaps[1], snaps[0])
+    assert curve and all(mean == 0.0 for mean, _ in curve.values())
+
+
 def test_growth_stats():
     snaps, _ = generate_evolving(
         GenConfig(n0=5, steps=3, nodes_per_step=10, m=2, master_seed=2))

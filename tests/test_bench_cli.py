@@ -222,6 +222,13 @@ def test_cli_analyze(tmp_path, capsys):
                    "--at-new", "2") == 0
     assert "degree,mean_new_in_edges,samples" in capsys.readouterr().out
 
+    # snapshots given in reverse: no node acquires an in-edge
+    assert run_cli("analyze", "pa", "--streams-old", str(out_dir),
+                   "--at-old", "1", "--streams-new", str(out_dir),
+                   "--at-new", "0") == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows and all(float(r.split(",")[1]) == 0.0 for r in rows)
+
     assert run_cli("analyze", "growth", "--streams", str(out_dir),
                    "--at-list", "0", "1", "2") == 0
     out = capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Property tests of the delta table on generated evolving graphs.
+"""Property tests of the theta search, the delta table and diff/apply.
 
 Graphs and streams are drawn with hypothesis: every one of the six change
 kinds, tie-heavy probabilities (0.25, 0.5, 1.0, whose products land exactly
@@ -14,9 +14,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from evoinf import (AddEdge, AddNode, AddWeight, DecWeight,
                     EvolutionContext, GraphBuilder, PreconditionViolation,
                     RemoveEdge, accumulate_deltas, apply_all,
-                    cascade_node_removal, mia_spread)
+                    cascade_node_removal, diff, local_region, mia_spread)
 from evoinf.localize import theta_floor
-from conftest import fold_kernels
+from conftest import fold_kernels, reference_search
 
 THETAS = (0.25, 0.1, 0.01)
 KINDS = ("an", "rn", "ae", "re", "aw", "dw")
@@ -96,6 +96,64 @@ def evolutions(draw):
         b.apply_all(changes)
         stream.extend(changes)
     return g, stream, theta
+
+
+@st.composite
+def tie_graphs(draw):
+    """(g, theta) with many equal-probability paths: edges from the tie
+    values, the trivalency values 0.1, 0.01 and 0.001, and floor slivers."""
+    theta = draw(st.sampled_from(THETAS))
+    sliver = theta * (1 - 1e-13)
+    probs = st.sampled_from(
+        (0.25, 0.5, 1.0, 0.1, 0.01, 0.001)
+        + tuple(x for x in (sliver, 2 * sliver, 4 * sliver) if x <= 1.0))
+    n = draw(st.integers(1, 14))
+    b = GraphBuilder()
+    for u in range(n):
+        b.apply(AddNode(u))
+    for u, v, p in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                           st.integers(0, n - 1), probs),
+                                 min_size=n, max_size=4 * n)):
+        if u != v and not b.has_edge(u, v):
+            b.apply(AddEdge(u, v, p))
+    return b.freeze(), theta
+
+
+@PROPERTY
+@given(tie_graphs())
+def test_local_region_matches_the_reference_search(case):
+    # every member's (prob, parent, edge_prob), bit for bit, and the
+    # settle order (the members dict's insertion order)
+    g, theta = case
+    for root in sorted(g.nodes()):
+        for direction in ("out", "in"):
+            got = local_region(g, root, direction, theta).members
+            want = reference_search(g, root, theta, direction)
+            assert list(got.items()) == list(want.items()), (root, direction)
+
+
+@PROPERTY
+@given(tie_graphs())
+def test_sorted_row_matches_the_key_sort(case):
+    g, _ = case
+    for u in sorted(g.nodes()):
+        for direction, raw in (("out", g.out_neighbors(u)),
+                               ("in", g.in_neighbors(u))):
+            want = sorted(raw.items(), key=lambda kv: (-kv[1], kv[0]))
+            assert list(g.sorted_row(u, direction)) == want
+            assert g.sorted_row(u, direction) is g.sorted_row(u, direction)
+
+
+@PROPERTY
+@given(evolutions())
+def test_apply_of_diff_round_trips(case):
+    # both directions: the generated stream's pair, whose difference mixes
+    # all six change kinds and can remove an id and add it back
+    a, stream, _ = case
+    b = apply_all(a, stream)
+    assert apply_all(a, diff(a, b)) == b
+    assert apply_all(b, diff(b, a)) == a
+    assert diff(b, b) == []
 
 
 def _static(ctx, theta):

@@ -7,7 +7,7 @@ import pytest
 from evoinf import (EmptyGraph, InvalidConfig, Snapshot, degree_select,
                     exact_spread, greedy_select, mia_select, mia_spread,
                     random_select, simulate_spread)
-from evoinf.select import LiveEdgeEstimator
+from evoinf.select import LiveEdgeEstimator, MiaSelector
 from conftest import random_graph
 
 
@@ -136,6 +136,53 @@ def test_mia_matches_bruteforce_reselection():
         # differ from fresh evaluation by rounding only
         for a, b in zip(res.marginal_gains, gains):
             assert math.isclose(a, b, rel_tol=1e-9), trial
+
+
+def _strict_sorted_scan(sel, candidates):
+    """`MiaSelector.best` as first written: strict `>` over the sorted
+    candidates, so the smallest id of equal gains wins."""
+    best_v, best_gain = None, None
+    for v in sorted(candidates):
+        if v in sel.seeds:
+            continue
+        gain = sel.gain(v)
+        if best_gain is None or gain > best_gain:
+            best_v, best_gain = v, gain
+    return best_v, best_gain
+
+
+def test_mia_best_over_a_set_matches_the_strict_sorted_scan():
+    # five equal stars: every center's gain is exactly 2.5, and the ids
+    # are chosen so that a set of them does not iterate in sorted order
+    centers = [400, 8, 330, 1, 650]
+    g = Snapshot.build(
+        sorted(c + i for c in centers for i in range(4)),
+        [(c, c + i, 0.5) for c in centers for i in range(1, 4)])
+    sel = MiaSelector(g, 0.1)
+    cand = set(g.nodes())
+    assert list(cand) != sorted(cand)
+    for want in (1, 8, 330):
+        assert sel.best(cand) == _strict_sorted_scan(sel, cand) == (want, 2.5)
+        sel.add_seed(want)  # stays in cand: best must skip it
+    # the chosen seed has the smallest id of the tie and is excluded
+    cand = {1, 650, 400}
+    assert sel.best(cand) == _strict_sorted_scan(sel, cand) == (400, 2.5)
+    with pytest.raises(EmptyGraph):
+        sel.best({1, 8})
+
+
+def test_mia_best_matches_the_strict_scan_on_tie_heavy_graphs():
+    rng = random.Random(17)
+    for trial in range(20):
+        g = random_graph(rng, 30, 1.5, prob_choices=(0.25, 0.5, 1.0))
+        sel = MiaSelector(g, 0.1)
+        nodes = sorted(g.nodes())
+        for _ in range(5):
+            # unordered candidates that may hold already-chosen seeds
+            cand = set(rng.sample(nodes, 12)) | set(sel.seeds[:2])
+            got = sel.best(cand)
+            assert got == _strict_sorted_scan(sel, cand), trial
+            sel.add_seed(got[0])
 
 
 def test_mia_gains_nonincreasing_on_trees():
