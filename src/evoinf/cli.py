@@ -216,6 +216,9 @@ def cmd_analyze(args) -> int:
         lines.append("degree,mean_new_in_edges,samples")
         lines.extend(f"{d},{m:.6f},{n}" for d, (m, n) in curve.items())
     elif args.what == "growth":
+        if not args.at_list:
+            raise InvalidConfig("analyze growth needs --at-list with at "
+                                "least one snapshot time")
         snaps = []
         for at in args.at_list:
             ns = argparse.Namespace(**{**vars(args), "at": at})

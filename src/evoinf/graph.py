@@ -210,6 +210,13 @@ class Snapshot(_ReadGraph):
             raise AssertionError("in/out node sets differ")
 
 
+def _check_snapshot(g) -> None:
+    """Searches and cascades read the row caches only a Snapshot keeps."""
+    if not isinstance(g, Snapshot):
+        raise TypeError(f"expected a Snapshot, got {type(g).__name__}; "
+                        f"freeze() a GraphBuilder first")
+
+
 class GraphBuilder(_ReadGraph):
     """Mutable working graph with the same read interface as Snapshot.
 

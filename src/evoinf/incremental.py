@@ -91,15 +91,21 @@ class PruneConfig:
 class EvolutionContext:
     """One evolution step: old snapshot, new snapshot, and the stream between.
 
-    Holds cached degree rankings for pruning. For the per-change kernels it
-    also offers the kernel stream, in which weight changes are decomposed
-    into remove + re-add so that it carries only four change types.
+    A context is valid once built: the constructor checks that the stream
+    turns g_old into g_new (`PreconditionViolation` for an invalid change,
+    `ValueError` for a wrong end state), and `from_stream` and
+    `from_snapshots` are valid by construction. Holds cached degree rankings
+    for pruning. For the per-change kernels it also offers the kernel
+    stream, in which weight changes are decomposed into remove + re-add so
+    that it carries only four change types.
     """
 
-    def __init__(self, g_old: Snapshot, g_new: Snapshot, stream: ChangeStream,
-                 verify: bool = True):
-        if verify and apply_all(g_old, stream) != g_new:
+    def __init__(self, g_old: Snapshot, g_new: Snapshot, stream: ChangeStream):
+        if apply_all(g_old, stream) != g_new:
             raise ValueError("stream does not transform g_old into g_new")
+        self._hold(g_old, g_new, stream)
+
+    def _hold(self, g_old: Snapshot, g_new: Snapshot, stream: ChangeStream):
         self.g_old = g_old
         self.g_new = g_new
         self.stream = stream
@@ -107,17 +113,21 @@ class EvolutionContext:
         self._top_increase: dict[float, set[int]] = {}
 
     @classmethod
-    def from_stream(cls, g_old: Snapshot, stream: ChangeStream,
-                    label: int | None = None) -> "EvolutionContext":
-        g_new = apply_all(g_old, stream)
-        if label is not None:
-            g_new.label = label
-        return cls(g_old, g_new, stream, verify=False)
+    def _valid(cls, g_old, g_new, stream) -> "EvolutionContext":
+        """A context whose caller's construction proves it valid."""
+        ctx = cls.__new__(cls)
+        ctx._hold(g_old, g_new, stream)
+        return ctx
+
+    @classmethod
+    def from_stream(cls, g_old: Snapshot, stream: ChangeStream
+                    ) -> "EvolutionContext":
+        return cls._valid(g_old, apply_all(g_old, stream), stream)
 
     @classmethod
     def from_snapshots(cls, g_old: Snapshot, g_new: Snapshot
                        ) -> "EvolutionContext":
-        return cls(g_old, g_new, diff(g_old, g_new), verify=False)
+        return cls._valid(g_old, g_new, diff(g_old, g_new))
 
     @property
     def kernel_stream(self) -> ChangeStream:
@@ -176,7 +186,7 @@ def _fold_edge_change(w: GraphBuilder, change: Change, theta: float,
     """
     before = w.freeze()
     w.apply(change)  # validates the change
-    ctx = EvolutionContext(before, w.freeze(), [change], verify=False)
+    ctx = EvolutionContext._valid(before, w.freeze(), [change])
     for v, d in accumulate_deltas(ctx, frozenset(), theta).values.items():
         table.add(v, d)
     return table
@@ -237,22 +247,19 @@ def accumulate_deltas(ctx: EvolutionContext, seeds, theta: float
     the graph (Chen, Wang & Wang, KDD 2010; the localization follows dynamic
     influence maintenance, Ohsaka et al., VLDB 2016).
 
-    The stream is replayed on a working copy of the old snapshot, so an
-    invalid change raises `PreconditionViolation`. `born` and `removed` are
-    the stream's node ids by snapshot membership, so a removed and re-added
-    id is neither. Deltas are standalone-spread changes: `seeds` must be
-    empty.
+    The context guarantees that the stream is valid, so it is only scanned
+    for node ids and edge pairs. `born` and `removed` are the stream's node
+    ids by snapshot membership, so a removed and re-added id is neither.
+    Deltas are standalone-spread changes: `seeds` must be empty.
     """
     if frozenset(seeds):
         raise ValueError("seeded deltas are not supported; pass an empty "
                          "seed set")
     _check_theta(theta)
     g_old, g_new = ctx.g_old, ctx.g_new
-    replay = GraphBuilder(g_old)
     touched: set[tuple[int, int]] = set()
     nodes: set[int] = set()
     for c in ctx.stream:
-        replay.apply(c)  # validates the change against the graph so far
         if isinstance(c, (AddNode, RemoveNode)):
             nodes.add(c.node)
         else:
@@ -300,13 +307,12 @@ def prune(table: DeltaTable, cfg: PruneConfig, ctx: EvolutionContext,
                          f"list (length {len(cfg.prev_seeds)})")
     g_new = ctx.g_new
     prev = cfg.prev_seeds[iteration - 1]
-    top_union = None
 
+    # both top sets are drawn from g_new's nodes
     if not g_new.has_node(prev):
         # seat holder left the network: fall back to the degree qualification
         # alone, with no growth threshold to compare against
-        top_union = ctx.top_degree_set(cfg.eta) | ctx.top_increase_set(cfg.eta)
-        return {v for v in top_union if g_new.has_node(v)}
+        return ctx.top_degree_set(cfg.eta) | ctx.top_increase_set(cfg.eta)
 
     d = table.growth(prev)
     if d >= 0.0:
@@ -314,8 +320,7 @@ def prune(table: DeltaTable, cfg: PruneConfig, ctx: EvolutionContext,
                 if g_new.has_node(v) and table.growth(v) > d}
     else:
         top_union = ctx.top_degree_set(cfg.eta) | ctx.top_increase_set(cfg.eta)
-        cand = {v for v in top_union
-                if g_new.has_node(v) and table.growth(v) > d}
+        cand = {v for v in top_union if table.growth(v) > d}
     cand.add(prev)
     return cand
 

@@ -128,8 +128,8 @@ def load_temporal_edges(path, undirected: bool = False
     return records, ids
 
 
-def snapshot_at(records: list[TemporalEdge], t: int, prob_policy=None,
-                label: int | None = None) -> Snapshot:
+def snapshot_at(records: list[TemporalEdge], t: int, prob_policy=None
+                ) -> Snapshot:
     """Graph induced by all records with timestamp <= t.
 
     Repeated (u, v) records collapse to the one with the largest timestamp
@@ -161,7 +161,7 @@ def snapshot_at(records: list[TemporalEdge], t: int, prob_policy=None,
             b.apply(AddNode(v))
         if p > 0.0:
             b.apply(AddEdge(u, v, p))
-    return b.freeze(t if label is None else label)
+    return b.freeze(t)
 
 
 def write_id_map(path, ids: dict[str, int]) -> None:

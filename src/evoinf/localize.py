@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from heapq import heappush, heappop
 
 from .errors import InvalidConfig, UnknownNode
+from .graph import Snapshot, _check_snapshot
 
 # members map: node -> (prob, parent, edge_prob)
 #   prob      product of edge probabilities along the tree path
@@ -74,7 +75,7 @@ def theta_floor(theta: float) -> float:
     return math.exp(-(cutoff + tol))
 
 
-def _search(g, root: int, floor: float, direction: str):
+def _search(g: Snapshot, root: int, floor: float, direction: str):
     """Best-first expansion from root pruned at `floor` (see `theta_floor`).
 
     Heap entries are (-prob, hops, parent_path, node, edge_prob). For equal
@@ -118,8 +119,10 @@ def _search(g, root: int, floor: float, direction: str):
     return members
 
 
-def local_region(g, root: int, direction: str, theta: float) -> LocalRegion:
+def local_region(g: Snapshot, root: int, direction: str, theta: float
+                 ) -> LocalRegion:
     """All nodes whose best path to (in) or from (out) the root clears theta."""
+    _check_snapshot(g)
     if root not in g:
         raise UnknownNode(f"node {root} not in graph")
     if direction not in ("in", "out"):
@@ -194,7 +197,7 @@ def region_weighted_sum(region: LocalRegion, ap: dict[int, float]) -> float:
     return total
 
 
-def mia_spread(g, v: int, seeds, theta: float) -> float:
+def mia_spread(g: Snapshot, v: int, seeds, theta: float) -> float:
     """Localized spread of v given already-chosen seeds.
 
     Sums, over every node j in v's out-region, the best-path probability

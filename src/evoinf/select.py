@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from heapq import heappush, heappop
 
 from .errors import EmptyGraph, InvalidConfig
-from .graph import Snapshot
+from .graph import Snapshot, _check_snapshot
 from .localize import (LocalRegion, _check_theta, _search, activation_prob,
                        region_weighted_sum, theta_floor)
 from .simulate import _check_runs, _kernel
@@ -92,53 +92,33 @@ class LiveEdgeEstimator:
         return self.sigma(seed_set | {v}) - self.sigma(seed_set)
 
 
-def greedy_select(g: Snapshot, k: int, runs: int, master_seed: int,
-                  lazy: bool = True,
-                  estimator: LiveEdgeEstimator | None = None) -> SeedResult:
-    """Hill-climbing greedy selection with lazy marginal re-evaluation.
-
-    `lazy=False` forces exhaustive re-evaluation every round; with a shared
-    estimator both modes return the identical seed sequence. Ties break to
-    the smaller node id.
+def greedy_select(g: Snapshot, k: int, runs: int, master_seed: int
+                  ) -> SeedResult:
+    """Hill-climbing greedy selection with lazy marginal re-evaluation
+    (CELF, Leskovec et al., KDD 2007). Ties break to the smaller node id.
     """
     _check_k(k)
     _check_nonempty(g)
     t0 = time.perf_counter()
-    est = estimator or LiveEdgeEstimator(g, runs, master_seed)
+    est = LiveEdgeEstimator(g, runs, master_seed)
     k = min(k, g.num_nodes)
     seeds: list[int] = []
     gains: list[float] = []
     chosen: frozenset = frozenset()
-
-    if lazy:
-        # entries: (-gain, node, n_seeds_when_computed)
-        heap: list[tuple[float, int, int]] = []
-        for v in sorted(g.nodes()):
-            heappush(heap, (-est.marginal(v, chosen), v, 0))
-        while len(seeds) < k:
-            neg, v, at = heappop(heap)
-            if at == len(seeds):
-                seeds.append(v)
-                gains.append(-neg)
-                chosen = chosen | {v}
-            else:
-                heappush(heap, (-est.marginal(v, chosen), v, len(seeds)))
-    else:
-        remaining = sorted(g.nodes())
-        while len(seeds) < k:
-            best_v, best_gain = None, None
-            for v in remaining:
-                gain = est.marginal(v, chosen)
-                if best_gain is None or gain > best_gain:
-                    best_v, best_gain = v, gain
-            seeds.append(best_v)
-            gains.append(best_gain)
-            chosen = chosen | {best_v}
-            remaining.remove(best_v)
-
+    # entries: (-gain, node, n_seeds_when_computed)
+    heap: list[tuple[float, int, int]] = []
+    for v in sorted(g.nodes()):
+        heappush(heap, (-est.marginal(v, chosen), v, 0))
+    while len(seeds) < k:
+        neg, v, at = heappop(heap)
+        if at == len(seeds):
+            seeds.append(v)
+            gains.append(-neg)
+            chosen = chosen | {v}
+        else:
+            heappush(heap, (-est.marginal(v, chosen), v, len(seeds)))
     return SeedResult(seeds, gains, "greedy", time.perf_counter() - t0,
-                      {"k": k, "runs": runs, "seed": master_seed,
-                       "lazy": lazy})
+                      {"k": k, "runs": runs, "seed": master_seed})
 
 
 class MiaSelector:
@@ -152,7 +132,8 @@ class MiaSelector:
     from scratch and no region is searched twice.
     """
 
-    def __init__(self, g, theta: float):
+    def __init__(self, g: Snapshot, theta: float):
+        _check_snapshot(g)
         self.g = g
         self.theta = theta
         self._floor = theta_floor(theta)
@@ -223,7 +204,7 @@ class MiaSelector:
         return best_v, best_gain
 
 
-def mia_select(g, k: int, theta: float) -> SeedResult:
+def mia_select(g: Snapshot, k: int, theta: float) -> SeedResult:
     """K rounds of argmax over localized marginal spread."""
     _check_k(k)
     _check_theta(theta)

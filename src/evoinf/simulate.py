@@ -22,7 +22,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import InvalidConfig, TooLarge, UnknownNode
-from .graph import Snapshot
+from .graph import Snapshot, _check_snapshot
 
 # Runs advance in chunks of rows with rows * (nodes + edges) <= 2^18: that
 # bounds the marks and every frontier array (a step expands each (run, edge)
@@ -88,8 +88,7 @@ def _mix(x: np.ndarray) -> np.ndarray:
 def _kernel(g: Snapshot) -> _ReachKernel:
     """g's kernel; a Snapshot never changes, so it keeps it for later calls
     (`evoinf bench` evaluates each snapshot once per algorithm)."""
-    if not isinstance(g, Snapshot):
-        return _ReachKernel(g)
+    _check_snapshot(g)
     if g._reach is None:
         g._reach = _ReachKernel(g)
     return g._reach

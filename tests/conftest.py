@@ -34,6 +34,7 @@ from evoinf import (AddEdge, AddNode, AddWeight, DecWeight, DeltaTable,
                     RemoveNode, Snapshot, delta_add_edge, delta_node,
                     delta_remove_edge)
 from evoinf.localize import theta_floor
+from evoinf.select import LiveEdgeEstimator
 
 
 def fold_kernels(ctx, theta: float) -> DeltaTable:
@@ -52,6 +53,29 @@ def fold_kernels(ctx, theta: float) -> DeltaTable:
         else:
             delta_node(w, c, table)
     return table
+
+
+def greedy_exhaustive(g, k: int, runs: int, master_seed: int
+                      ) -> tuple[list[int], list[float]]:
+    """Greedy that re-evaluates every node each round: the oracle of lazy
+    `greedy_select`. A fresh estimator with the same runs and master seed
+    gives the same floats. Returns (seeds, marginal gains).
+    """
+    est = LiveEdgeEstimator(g, runs, master_seed)
+    remaining = sorted(g.nodes())
+    seeds, gains = [], []
+    chosen = frozenset()
+    for _ in range(min(k, g.num_nodes)):
+        best_v, best_gain = None, None
+        for v in remaining:
+            gain = est.marginal(v, chosen)
+            if best_gain is None or gain > best_gain:
+                best_v, best_gain = v, gain
+        seeds.append(best_v)
+        gains.append(best_gain)
+        chosen = chosen | {best_v}
+        remaining.remove(best_v)
+    return seeds, gains
 
 
 def reference_search(g, root: int, theta: float, direction: str) -> dict:

@@ -17,8 +17,8 @@ from evoinf import (EvolutionContext, GenConfig, PruneConfig,
                     mia_spread, pa_correlation, powerlaw_slope,
                     random_select, simulate_spread, activation_prob,
                     apply_all, diff)
-from evoinf.select import LiveEdgeEstimator
-from conftest import random_graph, random_stream, record_acceptance_detail
+from conftest import (greedy_exhaustive, random_graph, random_stream,
+                      record_acceptance_detail)
 
 
 def _report(cid: str, detail: str):
@@ -108,7 +108,7 @@ def pruning_batch():
         assert 1500 <= g_new.num_nodes <= 2500
         theta, eta, k = 1 / 100, 0.05, 10
         prev = mia_select(g_old, k, theta)
-        ctx = EvolutionContext(g_old, g_new, streams[-1], verify=False)
+        ctx = EvolutionContext.from_stream(g_old, streams[-1])
         inc = incinf_select(ctx, prev, k, theta,
                             PruneConfig(eta, prev.seeds))
         ref = mia_select(g_new, k, theta)
@@ -157,7 +157,7 @@ def test_c5_speedup_on_large_transition():
     assert g_new.num_nodes >= 100_000
     theta, k = 1 / 300, 10
     prev = mia_select(g_old, k, theta)
-    ctx = EvolutionContext(g_old, g_new, streams[-1], verify=False)
+    ctx = EvolutionContext.from_stream(g_old, streams[-1])
     inc = incinf_select(ctx, prev, k, theta, PruneConfig(0.05, prev.seeds))
     ref = mia_select(g_new, k, theta)
     assert inc.wall_time <= 0.5 * ref.wall_time, \
@@ -206,14 +206,12 @@ def test_c8_property_suites():
     """Compact reruns of the randomized property suites with fixed seeds:
     lazy greedy equivalence, spread monotonicity and submodularity,
     activation monotonicity, diff/apply round trip, deterministic replay."""
-    # greedy lazy == naive under one estimator
+    # lazy greedy == exhaustive re-evaluation on the same samples
     rng = random.Random(80_001)
     for _ in range(5):
         g = random_graph(rng, rng.randint(8, 30), 1.8)
-        est = LiveEdgeEstimator(g, 200, 5)
-        lazy = greedy_select(g, 4, 200, 5, lazy=True, estimator=est)
-        naive = greedy_select(g, 4, 200, 5, lazy=False, estimator=est)
-        assert lazy.seeds == naive.seeds
+        lazy = greedy_select(g, 4, 200, 5)
+        assert lazy.seeds == greedy_exhaustive(g, 4, 200, 5)[0]
 
     # exact spread is monotone and submodular
     rng = random.Random(80_002)

@@ -234,6 +234,11 @@ def test_cli_analyze(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[1] == "0,6,0"
 
+    # a growth series of no snapshots is a bad option, not an empty table
+    for source in ([], ["--streams", str(out_dir)]):
+        assert run_cli("analyze", "growth", *source) == 1
+        assert error_record(capsys)["error"] == "InvalidConfig"
+
     assert run_cli("analyze", "rank", "--streams", str(out_dir),
                    "--at", "2", "--seeds", "0,1",
                    "--degree-kind", "out") == 0

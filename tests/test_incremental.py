@@ -299,6 +299,10 @@ def test_context_invariant_checked():
     g_wrong = Snapshot.build([0, 1], [(0, 1, 0.5)])
     with pytest.raises(ValueError):
         EvolutionContext(g, g_wrong, [])
+    with pytest.raises(ValueError):
+        EvolutionContext(g, g_wrong, [AddEdge(0, 1, 0.25)])
+    with pytest.raises(PreconditionViolation):
+        EvolutionContext.from_stream(g, [RemoveEdge(0, 1)])
     ctx = EvolutionContext.from_snapshots(g, g_wrong)
     assert ctx.stream == diff(g, g_wrong)
 

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from evoinf import (InvalidConfig, Snapshot, UnknownNode, activation_prob,
-                    local_region, mia_spread)
+from evoinf import (GraphBuilder, InvalidConfig, Snapshot, UnknownNode,
+                    activation_prob, local_region, mia_select, mia_spread,
+                    simulate_spread)
 from evoinf.localize import theta_floor
 from conftest import random_graph
 
@@ -268,3 +269,16 @@ def test_theta_outside_unit_interval_rejected(theta):
                  lambda: mia_spread(g, 0, set(), theta)):
         with pytest.raises(InvalidConfig):
             call()
+
+
+@pytest.mark.parametrize("analysis", [
+    lambda g: local_region(g, 0, "out", 0.1),
+    lambda g: mia_spread(g, 0, (), 0.1),
+    lambda g: mia_select(g, 1, 0.1),
+    lambda g: simulate_spread(g, {0}, 10, 1),
+], ids=["local_region", "mia_spread", "mia_select", "simulate_spread"])
+def test_analyses_reject_a_graph_builder(analysis):
+    b = GraphBuilder(Snapshot.build([0, 1], [(0, 1, 0.5)]))
+    with pytest.raises(TypeError, match="freeze"):
+        analysis(b)
+    analysis(b.freeze())

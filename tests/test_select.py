@@ -8,7 +8,7 @@ from evoinf import (EmptyGraph, InvalidConfig, Snapshot, degree_select,
                     exact_spread, greedy_select, mia_select, mia_spread,
                     random_select, simulate_spread)
 from evoinf.select import LiveEdgeEstimator, MiaSelector
-from conftest import random_graph
+from conftest import greedy_exhaustive, random_graph
 
 
 def star(p=1.0, leaves=5):
@@ -48,11 +48,10 @@ def test_greedy_lazy_equals_naive_under_shared_estimator():
     rng = random.Random(333)
     for trial in range(8):
         g = random_graph(rng, rng.randint(5, 30), 1.8)
-        est = LiveEdgeEstimator(g, 300, 17 + trial)
-        lazy = greedy_select(g, 5, 300, 17 + trial, lazy=True, estimator=est)
-        naive = greedy_select(g, 5, 300, 17 + trial, lazy=False, estimator=est)
-        assert lazy.seeds == naive.seeds, trial
-        assert lazy.marginal_gains == naive.marginal_gains
+        lazy = greedy_select(g, 5, 300, 17 + trial)
+        seeds, gains = greedy_exhaustive(g, 5, 300, 17 + trial)
+        assert lazy.seeds == seeds, trial
+        assert lazy.marginal_gains == gains
 
 
 def test_greedy_rejects_runs_below_one():
