@@ -11,9 +11,8 @@ from .errors import (EmptyGraph, EvoinfError, InsufficientSeeds,
                      UnknownNode)
 from .graph import (AddEdge, AddNode, AddWeight, Change, ChangeStream,
                     DecWeight, GraphBuilder, RemoveEdge, RemoveNode, Snapshot,
-                    apply_all, cascade_node_removal,
-                    decompose_weight_change, diff, read_change_stream,
-                    write_change_stream)
+                    apply_all, cascade_node_removal, diff,
+                    read_change_stream, write_change_stream)
 from .ingest import (FixedProb, TemporalEdge, TrivalencyProb,
                      load_temporal_edges, parse_prob_policy, snapshot_at)
 from .simulate import SpreadEstimate, exact_spread, simulate_spread
@@ -41,7 +40,7 @@ __all__ = [
     "RemoveNode", "ScenarioError", "SeedResult", "Snapshot", "SpreadEstimate",
     "TemporalEdge", "TooLarge", "TrivalencyProb", "UnknownNode",
     "accumulate_deltas", "activation_prob", "apply_all",
-    "cascade_node_removal", "decompose_weight_change", "degree_distribution",
+    "cascade_node_removal", "degree_distribution",
     "degree_ranks", "degree_select", "delta_add_edge", "delta_node",
     "delta_remove_edge", "diff", "exact_spread", "generate_evolving",
     "greedy_select", "growth_stats", "incinf_select",

@@ -24,6 +24,11 @@ def _degree(g: Snapshot, u: int, kind: str) -> int:
     raise ValueError(f"degree kind must be in/out/total, got {kind!r}")
 
 
+def _bin(d: int) -> int:
+    """Lower bound of d's base-2 bin: the largest power of two <= d, or 0."""
+    return 1 << d.bit_length() >> 1
+
+
 def degree_distribution(g: Snapshot, kind: str = "total") -> dict[int, int]:
     """Log-binned histogram: bin lower bound (power of two) -> node count.
 
@@ -31,8 +36,7 @@ def degree_distribution(g: Snapshot, kind: str = "total") -> dict[int, int]:
     """
     hist: dict[int, int] = {}
     for u in g.nodes():
-        d = _degree(g, u, kind)
-        binlow = 0 if d == 0 else 1 << int(math.floor(math.log2(d)))
+        binlow = _bin(_degree(g, u, kind))
         hist[binlow] = hist.get(binlow, 0) + 1
     return hist
 
@@ -74,8 +78,7 @@ def pa_correlation(g_old: Snapshot, g_new: Snapshot
     for u in g_old.nodes():
         if not g_new.has_node(u):
             continue
-        d = g_old.in_degree(u)
-        binlow = 0 if d == 0 else 1 << int(math.floor(math.log2(d)))
+        binlow = _bin(g_old.in_degree(u))
         old_in = g_old.in_neighbors(u)
         gained = sum(1 for w in g_new.in_neighbors(u) if w not in old_in)
         sums[binlow] = sums.get(binlow, 0.0) + gained

@@ -65,39 +65,22 @@ def parse_scenario(path) -> Scenario:
 
     read: set[str] = set()
 
-    def get(key: str, default=None) -> str | None:
+    def typed(key: str, cast=str, default=None):
+        """raw[key] converted by cast; default when absent, or missing if
+        there is no default."""
         read.add(key)
-        return raw.get(key, default)
-
-    def need(key: str) -> str:
-        val = get(key)
-        if val is None:
-            raise ScenarioError(key, "missing")
-        return val
-
-    def geti(key: str, default=None) -> int:
-        val = get(key)
+        val = raw.get(key)
         if val is None:
             if default is None:
                 raise ScenarioError(key, "missing")
             return default
         try:
-            return int(val)
+            return cast(val)
         except ValueError:
-            raise ScenarioError(key, f"not an integer: {val!r}")
+            kind = "an integer" if cast is int else "a number"
+            raise ScenarioError(key, f"not {kind}: {val!r}")
 
-    def getf(key: str, default=None) -> float:
-        val = get(key)
-        if val is None:
-            if default is None:
-                raise ScenarioError(key, "missing")
-            return default
-        try:
-            return float(val)
-        except ValueError:
-            raise ScenarioError(key, f"not a number: {val!r}")
-
-    algos = [a.strip() for a in need("algos").split(",") if a.strip()]
+    algos = [a.strip() for a in typed("algos").split(",") if a.strip()]
     for a in algos:
         if a not in ALGORITHMS:
             raise ScenarioError("algos", f"unknown algorithm {a!r}")
@@ -106,13 +89,13 @@ def parse_scenario(path) -> Scenario:
 
     sc = Scenario(
         algos=algos,
-        k=geti("k"),
-        theta=getf("theta"),
-        eta=getf("eta", 0.05),
-        eval_runs=geti("eval_runs", 10_000),
-        eval_seed=geti("eval_seed"),
-        select_runs=geti("select_runs", 10_000),
-        select_seed=geti("select_seed", 0),
+        k=typed("k", int),
+        theta=typed("theta", float),
+        eta=typed("eta", float, 0.05),
+        eval_runs=typed("eval_runs", int, 10_000),
+        eval_seed=typed("eval_seed", int),
+        select_runs=typed("select_runs", int, 10_000),
+        select_seed=typed("select_seed", int, 0),
     )
     if sc.k < 1:
         raise ScenarioError("k", "must be >= 1")
@@ -126,29 +109,32 @@ def parse_scenario(path) -> Scenario:
 
     if "gen.n0" in raw:
         sc.gen = GenConfig(
-            n0=geti("gen.n0"),
-            steps=geti("gen.steps"),
-            nodes_per_step=geti("gen.nodes_per_step"),
-            m=geti("gen.m"),
-            prob_policy=get("gen.prob_policy", "trivalency"),
-            master_seed=geti("gen.seed", 0),
-            extra_edge_fraction=getf("gen.extra_edge_fraction", 0.0),
-            remove_edge_fraction=getf("gen.remove_edge_fraction", 0.0),
-            weight_change_fraction=getf("gen.weight_change_fraction", 0.0),
-            remove_node_count=geti("gen.remove_node_count", 0),
+            n0=typed("gen.n0", int),
+            steps=typed("gen.steps", int),
+            nodes_per_step=typed("gen.nodes_per_step", int),
+            m=typed("gen.m", int),
+            prob_policy=typed("gen.prob_policy", default="trivalency"),
+            master_seed=typed("gen.seed", int, 0),
+            extra_edge_fraction=typed("gen.extra_edge_fraction", float,
+                                      0.0),
+            remove_edge_fraction=typed("gen.remove_edge_fraction", float,
+                                       0.0),
+            weight_change_fraction=typed("gen.weight_change_fraction",
+                                         float, 0.0),
+            remove_node_count=typed("gen.remove_node_count", int, 0),
         )
     elif "edges_file" in raw:
-        sc.edges_file = need("edges_file")
-        times = need("snapshot_times")
+        sc.edges_file = typed("edges_file")
+        times = typed("snapshot_times")
         try:
             sc.snapshot_times = [int(t) for t in times.split(",")]
         except ValueError:
             raise ScenarioError("snapshot_times", f"bad list: {times!r}")
         if len(sc.snapshot_times) < 2:
             raise ScenarioError("snapshot_times", "need at least two times")
-        sc.prob_policy = get("prob_policy", "trivalency")
-        sc.prob_seed = geti("prob_seed", 0)
-        undirected = get("undirected", "false").lower()
+        sc.prob_policy = typed("prob_policy", default="trivalency")
+        sc.prob_seed = typed("prob_seed", int, 0)
+        undirected = typed("undirected", default="false").lower()
         if undirected not in ("true", "false"):
             raise ScenarioError("undirected", "must be true or false")
         sc.undirected = undirected == "true"

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .errors import InvalidConfig
 from .graph import (AddEdge, AddNode, AddWeight, Change, ChangeStream,
-                    DecWeight, GraphBuilder, RemoveEdge, RemoveNode, Snapshot)
+                    DecWeight, GraphBuilder, RemoveEdge, Snapshot,
+                    cascade_node_removal)
 from .ingest import parse_prob_policy
 
 
@@ -136,11 +137,8 @@ def generate_evolving(cfg: GenConfig) -> tuple[list[Snapshot],
             sample = rng.sample(nodes, min(8, len(nodes)))
             victim = min(sample,
                          key=lambda u: (b.out_degree(u) + b.in_degree(u), u))
-            for v in sorted(b.out_neighbors(victim)):
-                emit(RemoveEdge(victim, v))
-            for v in sorted(b.in_neighbors(victim)):
-                emit(RemoveEdge(v, victim))
-            emit(RemoveNode(victim))
+            for c in cascade_node_removal(b, victim):
+                emit(c)
 
         if churny or step == 1:
             pool = build_pool()

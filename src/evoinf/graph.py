@@ -185,9 +185,6 @@ class Snapshot(_ReadGraph):
                 return False
         return True
 
-    def __hash__(self):
-        raise TypeError("snapshots are not hashable")
-
     def __repr__(self) -> str:
         return (f"Snapshot(label={self.label}, nodes={self.num_nodes}, "
                 f"edges={self.num_edges})")
@@ -332,27 +329,10 @@ def apply_all(g: Snapshot, changes: Iterable[Change]) -> Snapshot:
     Structure is shared where possible: only adjacency rows touched by the
     stream are copied.
     """
+    _check_snapshot(g)
     b = GraphBuilder(g)
     b.apply_all(changes)
     return b.freeze(g.label)
-
-
-def decompose_weight_change(g: Snapshot | GraphBuilder, c: Change) -> ChangeStream:
-    """Split a weight change on an existing edge into remove + re-add.
-
-    AddWeight(u, v, dw) with prior weight w becomes
-    [RemoveEdge(u, v), AddEdge(u, v, w + dw)], and symmetrically for
-    DecWeight. Applying the pair yields exactly the same snapshot as applying
-    the original change.
-    """
-    if not isinstance(c, (AddWeight, DecWeight)):
-        raise PreconditionViolation(c, "not a weight change")
-    u, v = c.source, c.target
-    if not g.has_edge(u, v):
-        raise PreconditionViolation(c, f"edge ({u},{v}) not present")
-    w = g.prob(u, v)
-    nw = w + c.delta if isinstance(c, AddWeight) else w - c.delta
-    return [RemoveEdge(u, v), AddEdge(u, v, nw)]
 
 
 def cascade_node_removal(g: Snapshot | GraphBuilder, u: int) -> ChangeStream:

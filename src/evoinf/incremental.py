@@ -29,7 +29,7 @@ from .errors import (EmptyGraph, InsufficientSeeds, InvalidConfig,
                      PreconditionViolation, UnknownNode)
 from .graph import (AddEdge, AddNode, AddWeight, Change, ChangeStream,
                     DecWeight, GraphBuilder, RemoveEdge, RemoveNode, Snapshot,
-                    apply_all, decompose_weight_change, diff)
+                    apply_all, diff)
 from .localize import _check_theta, local_region, theta_floor
 from .select import MiaSelector, SeedResult, _check_k, mia_select
 
@@ -136,23 +136,27 @@ class EvolutionContext:
         out: ChangeStream = []
         b = GraphBuilder(self.g_old)
         for c in self.stream:
+            b.apply(c)
             if isinstance(c, (AddWeight, DecWeight)):
-                out.extend(decompose_weight_change(b, c))
+                u, v = c.source, c.target
+                out += [RemoveEdge(u, v), AddEdge(u, v, b.prob(u, v))]
             else:
                 out.append(c)
-            b.apply(c)
         return out
+
+    def _top(self, cache: dict[float, set[int]], eta: float, score
+             ) -> set[int]:
+        """The ceil(eta * n) nodes of g_new with the highest score(u), ties
+        to the smaller id, cached per eta."""
+        got = cache.get(eta)
+        if got is None:
+            nodes = sorted(self.g_new.nodes(), key=lambda u: (-score(u), u))
+            got = cache[eta] = set(nodes[:math.ceil(eta * len(nodes))])
+        return got
 
     def top_degree_set(self, eta: float) -> set[int]:
         """Nodes whose new out-degree ranks in the top eta fraction."""
-        got = self._top_degree.get(eta)
-        if got is None:
-            nodes = sorted(self.g_new.nodes(),
-                           key=lambda u: (-self.g_new.out_degree(u), u))
-            keep = math.ceil(eta * len(nodes))
-            got = set(nodes[:keep])
-            self._top_degree[eta] = got
-        return got
+        return self._top(self._top_degree, eta, self.g_new.out_degree)
 
     def top_increase_set(self, eta: float) -> set[int]:
         """Nodes whose out-degree growth ratio ranks in the top eta fraction.
@@ -160,21 +164,14 @@ class EvolutionContext:
         Nodes absent from the old snapshot grew from nothing and rank at the
         top whenever they have any out-edge at all.
         """
-        got = self._top_increase.get(eta)
-        if got is None:
-            def ratio(u: int) -> float:
-                dn = self.g_new.out_degree(u)
-                do = (self.g_old.out_degree(u)
-                      if self.g_old.has_node(u) else 0)
-                if do == 0:
-                    return math.inf if dn > 0 else 0.0
-                return dn / do
+        def ratio(u: int) -> float:
+            dn = self.g_new.out_degree(u)
+            do = self.g_old.out_degree(u) if self.g_old.has_node(u) else 0
+            if do == 0:
+                return math.inf if dn > 0 else 0.0
+            return dn / do
 
-            nodes = sorted(self.g_new.nodes(), key=lambda u: (-ratio(u), u))
-            keep = math.ceil(eta * len(nodes))
-            got = set(nodes[:keep])
-            self._top_increase[eta] = got
-        return got
+        return self._top(self._top_increase, eta, ratio)
 
 
 def _fold_edge_change(w: GraphBuilder, change: Change, theta: float,

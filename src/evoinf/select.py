@@ -43,12 +43,6 @@ class SeedResult:
             "params": self.params,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SeedResult":
-        return cls(list(d["seeds"]), list(d["marginal_gains"]),
-                   d.get("algorithm", "?"), float(d.get("wall_time", 0.0)),
-                   dict(d.get("params", {})))
-
 
 def _check_nonempty(g: Snapshot):
     if g.num_nodes == 0:

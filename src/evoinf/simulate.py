@@ -61,6 +61,7 @@ def simulate_spread(g: Snapshot, seeds, runs: int, master_seed: int
     Deterministic for fixed (g, seeds, runs, master_seed); the first R runs
     are the same for every runs >= R.
     """
+    _check_snapshot(g)
     _check_runs(runs)
     seed_list = _validate_seeds(g, seeds)
     if not seed_list:

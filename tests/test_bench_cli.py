@@ -67,6 +67,8 @@ def test_scenario_errors(tmp_path):
            "gen.n0 = 5\ngen.steps = 1\ngen.nodes_per_step = 2\ngen.m = 2\n")
     edges = ("algos = mia\nk = 2\ntheta = 0.1\neval_seed = 1\n"
              "edges_file = trace.tsv\nsnapshot_times = 1,2\n")
+    type_errors = {"k": "not an integer", "theta": "not a number",
+                   "gen.extra_edge_fraction": "not a number"}
     for text, field in [
             (gen + "eval_run = 5\n", "eval_run"),        # misspelt key
             (gen + "gen.sed = 9\n", "gen.sed"),
@@ -76,11 +78,16 @@ def test_scenario_errors(tmp_path):
             (gen + "eta = 1.5\n", "eta"),
             (gen + "eval_runs = 0\n", "eval_runs"),
             (gen + "select_runs = 0\n", "select_runs"),
-            (edges + "undirected = yes\n", "undirected")]:
+            (edges + "undirected = yes\n", "undirected"),
+            (gen.replace("k = 2", "k = two"), "k"),          # wrong type
+            (gen.replace("theta = 0.1", "theta = x"), "theta"),
+            (gen + "gen.extra_edge_fraction = lots\n",
+             "gen.extra_edge_fraction")]:
         path.write_text(text)
         with pytest.raises(ScenarioError) as err:
             parse_scenario(path)
         assert err.value.field == field, text
+        assert type_errors.get(field, "") in str(err.value), text
     path.write_text(edges + "undirected = TRUE\n")
     assert parse_scenario(path).undirected
 

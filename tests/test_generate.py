@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import pytest
 
 from evoinf import (GenConfig, InvalidConfig, InvalidProbability, apply_all,
                     diff, generate_evolving)
+from evoinf.graph import format_change
 from evoinf.ingest import TRIVALENCY
 
 
@@ -87,6 +89,24 @@ def test_determinism():
                                         master_seed=34,
                                         extra_edge_fraction=0.2))
     assert s3[-1] != s1[-1]
+
+
+def test_churn_streams_are_pinned():
+    # the small churn instance of the benchmark; every change of every
+    # stream, as stream-file lines, hashes to the value of a reference run,
+    # so a refactor of the generator cannot change the instances unnoticed
+    cfg = GenConfig(n0=20, steps=3, nodes_per_step=100, m=3,
+                    prob_policy="trivalency", master_seed=31,
+                    extra_edge_fraction=0.3, remove_edge_fraction=0.002,
+                    weight_change_fraction=0.002, remove_node_count=3)
+    _, streams = generate_evolving(cfg)
+    kinds = [type(c).__name__ for s in streams for c in s]
+    assert len(set(kinds)) == 6
+    assert (kinds.count("RemoveNode"), kinds.count("AddWeight"),
+            kinds.count("DecWeight")) == (9, 2, 1)
+    text = "".join(format_change(c) + "\n" for s in streams for c in s)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1fd2859de615e0884abf31e6855e5d8e81ce6a2a53f8731a4fee56102c6669a1")
 
 
 def test_trivalency_probabilities():

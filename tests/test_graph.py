@@ -3,8 +3,8 @@ import random
 import pytest
 
 from evoinf import (AddEdge, AddNode, AddWeight, DecWeight,
-                    PreconditionViolation, RemoveEdge, RemoveNode, Snapshot,
-                    apply_all, decompose_weight_change, diff)
+                    EvolutionContext, PreconditionViolation, RemoveEdge,
+                    RemoveNode, Snapshot, apply_all, diff)
 from conftest import random_graph, random_stream
 
 
@@ -60,19 +60,24 @@ def test_apply_is_persistent():
     g2.audit()
 
 
+def decompose(g, c):
+    """The kernel stream of the one-change transition g -> c."""
+    return EvolutionContext.from_stream(g, [c]).kernel_stream
+
+
 def test_decompose_weight_change():
     g = Snapshot.build([0, 1], [(0, 1, 0.5)])
-    pair = decompose_weight_change(g, AddWeight(0, 1, 0.2))
+    pair = decompose(g, AddWeight(0, 1, 0.2))
     assert pair == [RemoveEdge(0, 1), AddEdge(0, 1, 0.7)]
     assert apply_all(g, pair) == apply_all(g, [AddWeight(0, 1, 0.2)])
 
     g2 = Snapshot.build([0, 1], [(0, 1, 0.3)])
-    pair = decompose_weight_change(g2, DecWeight(0, 1, 0.1))
+    pair = decompose(g2, DecWeight(0, 1, 0.1))
     assert pair == [RemoveEdge(0, 1), AddEdge(0, 1, 0.3 - 0.1)]
     assert apply_all(g2, pair) == apply_all(g2, [DecWeight(0, 1, 0.1)])
 
     with pytest.raises(PreconditionViolation):
-        decompose_weight_change(g, AddWeight(1, 0, 0.2))
+        decompose(g, AddWeight(1, 0, 0.2))
 
 
 def test_decompose_equals_direct_apply_randomized():
@@ -90,7 +95,7 @@ def test_decompose_equals_direct_apply_randomized():
             if dw <= 0.0:
                 continue
             c = DecWeight(u, v, dw)
-        assert apply_all(g, decompose_weight_change(g, c)) == apply_all(g, [c])
+        assert apply_all(g, decompose(g, c)) == apply_all(g, [c])
 
 
 def test_diff_trivial_cases():

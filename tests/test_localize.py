@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from evoinf import (GraphBuilder, InvalidConfig, Snapshot, UnknownNode,
-                    activation_prob, local_region, mia_select, mia_spread,
-                    simulate_spread)
+from evoinf import (EvolutionContext, GraphBuilder, InvalidConfig, Snapshot,
+                    UnknownNode, activation_prob, apply_all, local_region,
+                    mia_select, mia_spread, simulate_spread)
 from evoinf.localize import theta_floor
 from conftest import random_graph
 
@@ -276,7 +276,12 @@ def test_theta_outside_unit_interval_rejected(theta):
     lambda g: mia_spread(g, 0, (), 0.1),
     lambda g: mia_select(g, 1, 0.1),
     lambda g: simulate_spread(g, {0}, 10, 1),
-], ids=["local_region", "mia_spread", "mia_select", "simulate_spread"])
+    # checked before any early return on no seeds or an empty stream
+    lambda g: simulate_spread(g, [], 10, 1),
+    lambda g: apply_all(g, []),
+    lambda g: EvolutionContext.from_stream(g, []),
+], ids=["local_region", "mia_spread", "mia_select", "simulate_spread",
+        "simulate_spread_no_seeds", "apply_all", "from_stream"])
 def test_analyses_reject_a_graph_builder(analysis):
     b = GraphBuilder(Snapshot.build([0, 1], [(0, 1, 0.5)]))
     with pytest.raises(TypeError, match="freeze"):

@@ -244,12 +244,3 @@ def test_selectors_return_k_distinct_seeds():
         assert len(res.seeds) == 6
         assert len(set(res.seeds)) == 6
         assert len(res.marginal_gains) == 6
-
-
-def test_seed_result_round_trip():
-    res = mia_select(star(0.5), 2, 0.1)
-    from evoinf import SeedResult
-    clone = SeedResult.from_dict(res.to_dict())
-    assert clone.seeds == res.seeds
-    assert clone.algorithm == "mia"
-    assert clone.params["theta"] == 0.1
