@@ -218,6 +218,7 @@ def mia_select(g: Snapshot, k: int, theta: float) -> SeedResult:
 
 def degree_select(g: Snapshot, k: int) -> SeedResult:
     """Top-K nodes by out-degree, ties to the smaller node id."""
+    _check_snapshot(g)
     _check_k(k)
     _check_nonempty(g)
     t0 = time.perf_counter()
@@ -231,6 +232,7 @@ def degree_select(g: Snapshot, k: int) -> SeedResult:
 
 def random_select(g: Snapshot, k: int, master_seed: int) -> SeedResult:
     """Uniform sample of K distinct nodes, deterministic in master_seed."""
+    _check_snapshot(g)
     _check_k(k)
     _check_nonempty(g)
     t0 = time.perf_counter()

@@ -24,11 +24,14 @@ import numpy as np
 from .errors import InvalidConfig, TooLarge, UnknownNode
 from .graph import Snapshot, _check_snapshot
 
-# Runs advance in chunks of rows with rows * (nodes + edges) <= 2^18: that
-# bounds the marks and every frontier array (a step expands each (run, edge)
-# pair at most once). 2^20 was faster on 100k nodes but raised the peak of
-# 10,000-run evaluations on 200 nodes from ~1 MB to ~3.5 MB.
+# A chunk has max(_MIN_ROWS, 2^18 // (nodes + edges)) runs, and a level
+# expands in slices of at most 2^18 (run, edge) pairs plus one out-degree:
+# the marks hold at most max(2^18, 32 * nodes) int32 cells. 2^20 was faster
+# on 100k nodes but raised the peak of 10,000-run evaluations on 200 nodes
+# from ~1 MB to ~3.5 MB. On 100k nodes 2,000 runs took ~300 ms at 1 run
+# per chunk, 27 ms at 8, 11 ms at 32 (12.8 MB of marks) and 10 ms at 64.
 _CHUNK_CELLS = 1 << 18
+_MIN_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -128,45 +131,74 @@ class _ReachKernel:
         ids) over the live edges of runs 0 .. runs-1."""
         seed_rows = self._rows_of(np.fromiter(seeds, np.int64))
         seed_key = _mix(np.array([int(master_seed) % 2 ** 64], np.uint64))
-        chunk = max(1, _CHUNK_CELLS // (self._ids.size + self._dst.size))
+        n = self._ids.size
+        chunk = min(runs, max(_MIN_ROWS, _CHUNK_CELLS // (n + self._dst.size)))
+        # cell run * n + node of a chunk; -1 until reached, and each chunk
+        # resets the cells it reached
+        mark = np.full(chunk * n, -1, dtype=np.int32)
         out = np.empty(runs, dtype=np.int64)
         for lo in range(0, runs, chunk):
             hi = min(lo + chunk, runs)
             run_key = _mix(seed_key ^ np.arange(lo, hi, dtype=np.uint64))
-            out[lo:hi] = self._chunk_counts(run_key, seed_rows)
+            out[lo:hi] = self._chunk_counts(run_key, seed_rows, mark)
         return out
 
-    def _chunk_counts(self, run_key: np.ndarray,
-                      seed_rows: np.ndarray) -> np.ndarray:
-        """Frontier BFS that advances all runs of one chunk together.
-
-        Cell run * n + node has mark -1 until reached; a new cell's mark is
-        its frontier position, and keeping only the cells whose mark is
-        their own position drops repeats in O(len) without a sort.
-        """
+    def _chunk_counts(self, run_key: np.ndarray, seed_rows: np.ndarray,
+                      mark: np.ndarray) -> np.ndarray:
+        """Frontier BFS that advances all runs of one chunk together; a
+        level whose frontier has more than _CHUNK_CELLS out-edges expands
+        in slices cut by their cumulative count."""
         n, rows = self._ids.size, run_key.size
         cells = (np.arange(rows)[:, None] * n + seed_rows).ravel()
-        mark = np.full(rows * n, -1, dtype=np.int32)
         mark[cells] = 0
+        levels = [cells]
         while cells.size:
             run, u = np.divmod(cells, n)
             deg = self._deg[u]
-            # CSR positions of every out-edge of every frontier cell
             end = np.cumsum(deg)
-            edge = np.repeat(self._start[u] - end + deg, deg)
-            edge += np.arange(end[-1])
-            run = np.repeat(run, deg)
-            coin = run_key[run]
-            coin ^= self._edge_key[edge]
-            _mix(coin)
-            coin >>= np.uint64(11)
-            live = coin < self._thr[edge]
-            cells = run[live] * n + self._dst[edge[live]]
-            cells = cells[mark[cells] < 0]
-            pos = np.arange(cells.size, dtype=np.int32)
-            mark[cells] = pos
-            cells = cells[mark[cells] == pos]
-        return np.count_nonzero(mark.reshape(rows, n) >= 0, axis=1)
+            if end[-1] <= _CHUNK_CELLS:
+                cells = self._expand(run, u, deg, end, run_key, mark)
+            else:
+                cuts = np.searchsorted(
+                    end, np.arange(_CHUNK_CELLS, end[-1], _CHUNK_CELLS),
+                    side="right").tolist()
+                parts = []
+                for a, b in zip([0] + cuts, cuts + [cells.size]):
+                    if a < b:
+                        base = end[a - 1] if a else 0
+                        parts.append(self._expand(
+                            run[a:b], u[a:b], deg[a:b], end[a:b] - base,
+                            run_key, mark))
+                cells = np.concatenate(parts)
+            levels.append(cells)
+        reached = np.concatenate(levels)
+        mark[reached] = -1
+        return np.bincount(reached // n, minlength=rows)
+
+    def _expand(self, run: np.ndarray, u: np.ndarray, deg: np.ndarray,
+                end: np.ndarray, run_key: np.ndarray,
+                mark: np.ndarray) -> np.ndarray:
+        """Cells first reached over the live out-edges of frontier cells
+        (run, u), whose cumulative out-degree is `end`.
+
+        A new cell's mark is its position among the candidates, and keeping
+        only the cells whose mark is their own position drops repeats in
+        O(len) without a sort.
+        """
+        # CSR positions of every out-edge of every frontier cell
+        edge = np.repeat(self._start[u] - end + deg, deg)
+        edge += np.arange(end[-1])
+        run = np.repeat(run, deg)
+        coin = run_key[run]
+        coin ^= self._edge_key[edge]
+        _mix(coin)
+        coin >>= np.uint64(11)
+        live = coin < self._thr[edge]
+        cells = run[live] * self._ids.size + self._dst[edge[live]]
+        cells = cells[mark[cells] < 0]
+        pos = np.arange(cells.size, dtype=np.int32)
+        mark[cells] = pos
+        return cells[mark[cells] == pos]
 
 
 def exact_spread(g: Snapshot, seeds) -> float:
@@ -176,6 +208,7 @@ def exact_spread(g: Snapshot, seeds) -> float:
     being live times the number of nodes reachable from the seeds through
     it. Capped at 25 edges (2^25 subsets).
     """
+    _check_snapshot(g)
     seed_list = _validate_seeds(g, seeds)
     edge_list = sorted(g.edges())
     m = len(edge_list)

@@ -288,6 +288,20 @@ def test_cli_machine_readable_errors(tmp_path, capsys):
     assert "\n" not in err
 
 
+@pytest.mark.parametrize("argv, names", [
+    ((), "command"),
+    (("select", "--algo", "mia", "--k", "abc"), "--k"),
+    (("select", "--algo", "bogus", "--k", "2"), "--algo"),
+], ids=["no_command", "k_not_an_int", "unknown_algo"])
+def test_cli_usage_errors_exit_2(capsys, argv, names):
+    # argparse's own errors print usage, not the JSON error record
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and names in err
+
+
 def test_cli_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "evoinf", "--help"],
                           capture_output=True, text=True)

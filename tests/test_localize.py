@@ -4,8 +4,9 @@ import random
 import pytest
 
 from evoinf import (EvolutionContext, GraphBuilder, InvalidConfig, Snapshot,
-                    UnknownNode, activation_prob, apply_all, local_region,
-                    mia_select, mia_spread, simulate_spread)
+                    UnknownNode, activation_prob, apply_all, degree_select,
+                    exact_spread, greedy_select, local_region, mia_select,
+                    mia_spread, random_select, simulate_spread)
 from evoinf.localize import theta_floor
 from conftest import random_graph
 
@@ -275,12 +276,17 @@ def test_theta_outside_unit_interval_rejected(theta):
     lambda g: local_region(g, 0, "out", 0.1),
     lambda g: mia_spread(g, 0, (), 0.1),
     lambda g: mia_select(g, 1, 0.1),
+    lambda g: degree_select(g, 1),
+    lambda g: random_select(g, 1, 1),
+    lambda g: greedy_select(g, 1, 10, 1),
     lambda g: simulate_spread(g, {0}, 10, 1),
+    lambda g: exact_spread(g, [0]),
     # checked before any early return on no seeds or an empty stream
     lambda g: simulate_spread(g, [], 10, 1),
     lambda g: apply_all(g, []),
     lambda g: EvolutionContext.from_stream(g, []),
-], ids=["local_region", "mia_spread", "mia_select", "simulate_spread",
+], ids=["local_region", "mia_spread", "mia_select", "degree_select",
+        "random_select", "greedy_select", "simulate_spread", "exact_spread",
         "simulate_spread_no_seeds", "apply_all", "from_stream"])
 def test_analyses_reject_a_graph_builder(analysis):
     b = GraphBuilder(Snapshot.build([0, 1], [(0, 1, 0.5)]))

@@ -77,8 +77,67 @@ def test_runs_are_a_prefix_whatever_the_chunking(monkeypatch):
     # the same runs in chunks of a handful of rows
     monkeypatch.setattr(simulate, "_CHUNK_CELLS", 5 * (g.num_nodes
                                                        + g.num_edges))
+    monkeypatch.setattr(simulate, "_MIN_ROWS", 1)
     assert kernel.counts([0, 5, 9], long_runs, 8).tolist() == full.tolist()
     assert full.min() >= 3 and full.max() > 3
+
+
+_M64 = (1 << 64) - 1
+
+
+def _splitmix(x: int) -> int:
+    x ^= x >> 30
+    x = x * 0xBF58476D1CE4E5B9 & _M64
+    x ^= x >> 27
+    x = x * 0x94D049BB133111EB & _M64
+    return x ^ x >> 31
+
+
+def plain_counts(g, seeds, runs, master_seed):
+    """Per-run reach by a plain-Python BFS over the documented coins: edge
+    (u, v) is live in run r iff the top 53 bits of
+    mix(mix(mix(s) ^ r) ^ mix(mix(u) ^ v)), read as a uniform, are below p."""
+    run_keys = [_splitmix(_splitmix(master_seed % 2 ** 64) ^ r)
+                for r in range(runs)]
+    out = []
+    for key in run_keys:
+        reached = set(seeds)
+        stack = list(seeds)
+        while stack:
+            u = stack.pop()
+            for v, p in g.out_neighbors(u).items():
+                coin = _splitmix(key ^ _splitmix(_splitmix(u) ^ v))
+                if v not in reached and (coin >> 11) / 2.0 ** 53 < p:
+                    reached.add(v)
+                    stack.append(v)
+        out.append(len(reached))
+    return out
+
+
+@pytest.mark.parametrize("runs", [5, 70])
+def test_kernel_matches_a_plain_bfs_under_the_row_floor(runs):
+    # n + m > 8,192: chunks are the row floor, not 2^18 // (n + m) rows
+    g = random_graph(random.Random(7), 3000, 2.0,
+                     prob_choices=[0.05, 0.2, 0.6])
+    assert (simulate._CHUNK_CELLS // (g.num_nodes + g.num_edges)
+            < simulate._MIN_ROWS < 70)
+    seeds = [0, 11, 2999]
+    got = simulate._ReachKernel(g).counts(seeds, runs, 2 ** 64 + 5)
+    assert got.tolist() == plain_counts(g, seeds, runs, 2 ** 64 + 5)
+
+
+@pytest.mark.parametrize("runs", [3, 45])
+def test_kernel_matches_a_plain_bfs_when_levels_are_sliced(monkeypatch,
+                                                           runs):
+    # mostly certain edges, so each level has far more than 7 (run, edge)
+    # pairs and expands in slices of a cell or two
+    g = random_graph(random.Random(8), 40, 3.0,
+                     prob_choices=[1.0, 1.0, 0.4])
+    monkeypatch.setattr(simulate, "_CHUNK_CELLS", 7)
+    seeds = [0, 1]
+    got = simulate._ReachKernel(g).counts(seeds, runs, 9)
+    want = plain_counts(g, seeds, runs, 9)
+    assert got.tolist() == want and len(set(want)) > 1
 
 
 def test_insertion_order_does_not_change_results():
