@@ -25,11 +25,15 @@ from .errors import InvalidConfig, TooLarge, UnknownNode
 from .graph import Snapshot, _check_snapshot
 
 # A chunk has max(_MIN_ROWS, 2^18 // (nodes + edges)) runs, and a level
-# expands in slices of at most 2^18 (run, edge) pairs plus one out-degree:
-# the marks hold at most max(2^18, 32 * nodes) int32 cells. 2^20 was faster
-# on 100k nodes but raised the peak of 10,000-run evaluations on 200 nodes
-# from ~1 MB to ~3.5 MB. On 100k nodes 2,000 runs took ~300 ms at 1 run
-# per chunk, 27 ms at 8, 11 ms at 32 (12.8 MB of marks) and 10 ms at 64.
+# expands in slices of at most 2^18 (run, edge) pairs plus one out-degree.
+# The marks hold at most max(2^18, 32 * nodes) int32 cells; the cells a
+# chunk reached (kept to reset the marks) and a level's frontier are int64
+# arrays of at most as many cells. On 100,200 nodes with p = 0.5 (58 % of
+# them reached per run) 64 runs peaked at 40 MB, 1.4 MB at 1 run per chunk.
+# 2^20 was faster on 100k nodes but raised the peak of 10,000-run
+# evaluations on 200 nodes from ~1 MB to ~3.5 MB. On 100k nodes 2,000 runs
+# took ~300 ms at 1 run per chunk, 27 ms at 8, 11 ms at 32 (12.8 MB of
+# marks) and 10 ms at 64.
 _CHUNK_CELLS = 1 << 18
 _MIN_ROWS = 32
 
@@ -145,35 +149,39 @@ class _ReachKernel:
 
     def _chunk_counts(self, run_key: np.ndarray, seed_rows: np.ndarray,
                       mark: np.ndarray) -> np.ndarray:
-        """Frontier BFS that advances all runs of one chunk together; a
-        level whose frontier has more than _CHUNK_CELLS out-edges expands
-        in slices cut by their cumulative count."""
+        """Frontier BFS that advances all runs of one chunk together; each
+        level expands in slices of at most _CHUNK_CELLS out-edges, cut by
+        their cumulative count."""
         n, rows = self._ids.size, run_key.size
+        out = np.zeros(rows, dtype=np.int64)
         cells = (np.arange(rows)[:, None] * n + seed_rows).ravel()
         mark[cells] = 0
-        levels = [cells]
+        levels = []
         while cells.size:
+            levels.append(cells)
             run, u = np.divmod(cells, n)
+            out += np.bincount(run, minlength=rows)
             deg = self._deg[u]
             end = np.cumsum(deg)
             if end[-1] <= _CHUNK_CELLS:
+                # a level in one slice skips the cut search: 12 % of
+                # greedy-200's task_s in paired runs (BENCH_17.json)
                 cells = self._expand(run, u, deg, end, run_key, mark)
-            else:
-                cuts = np.searchsorted(
-                    end, np.arange(_CHUNK_CELLS, end[-1], _CHUNK_CELLS),
-                    side="right").tolist()
-                parts = []
-                for a, b in zip([0] + cuts, cuts + [cells.size]):
-                    if a < b:
-                        base = end[a - 1] if a else 0
-                        parts.append(self._expand(
-                            run[a:b], u[a:b], deg[a:b], end[a:b] - base,
-                            run_key, mark))
-                cells = np.concatenate(parts)
-            levels.append(cells)
-        reached = np.concatenate(levels)
-        mark[reached] = -1
-        return np.bincount(reached // n, minlength=rows)
+                continue
+            cuts = np.searchsorted(
+                end, np.arange(_CHUNK_CELLS, end[-1], _CHUNK_CELLS),
+                side="right").tolist()
+            parts = []
+            for a, b in zip([0] + cuts, cuts + [cells.size]):
+                if a < b:
+                    base = end[a - 1] if a else 0
+                    parts.append(self._expand(
+                        run[a:b], u[a:b], deg[a:b], end[a:b] - base,
+                        run_key, mark))
+            cells = np.concatenate(parts)
+        for cells in levels:
+            mark[cells] = -1
+        return out
 
     def _expand(self, run: np.ndarray, u: np.ndarray, deg: np.ndarray,
                 end: np.ndarray, run_key: np.ndarray,
