@@ -123,41 +123,21 @@ class Snapshot(_ReadGraph):
     derived from; nothing mutates them after construction, so they are safe
     to read from any number of threads.
 
-    `sorted_row` caches each row it builds, as a tuple, for the life of the
-    snapshot. It holds at most one row per node and direction, so the two
-    caches hold at most 2n rows and 2m pairs: O(n + m), like the adjacency
-    itself, however many searches run.
+    Every out- and in-row iterates by descending probability, then node id:
+    the path searches read rows in that order and stop at the first
+    neighbor under their floor.
     """
 
-    __slots__ = ("label", "_out", "_in", "_out_sorted", "_in_sorted", "_reach")
+    __slots__ = ("label", "_out", "_in", "_reach")
 
     def __init__(self, out: dict[int, dict[int, float]],
                  inn: dict[int, dict[int, float]], label: int = 0):
-        # Internal constructor: callers must hand over consistent mirrors.
+        # Internal constructor: callers must hand over consistent mirrors
+        # in search order (`GraphBuilder.freeze` sorts them).
         self._out = out
         self._in = inn
         self.label = label
-        # lazily built per-node rows sorted by descending probability; the
-        # path searches early-break on them (`localize._search` reads these
-        # dicts directly and fills them through sorted_row)
-        self._out_sorted: dict[int, tuple[tuple[int, float], ...]] = {}
-        self._in_sorted: dict[int, tuple[tuple[int, float], ...]] = {}
         self._reach = None  # evoinf.simulate's kernel, built on first use
-
-    def sorted_row(self, u: int, direction: str
-                   ) -> tuple[tuple[int, float], ...]:
-        """(neighbor, prob) pairs sorted by descending prob, then node id."""
-        cache = self._out_sorted if direction == "out" else self._in_sorted
-        row = cache.get(u)
-        if row is None:
-            raw = self._out[u] if direction == "out" else self._in[u]
-            # by id (keys are unique), then a stable sort by descending
-            # prob: the order of the key (-prob, id) without a Python key
-            # function per pair
-            pairs = sorted(raw.items())
-            pairs.sort(key=itemgetter(1), reverse=True)
-            row = cache[u] = tuple(pairs)
-        return row
 
     @classmethod
     def build(cls, nodes: Iterable[int] = (),
@@ -190,7 +170,7 @@ class Snapshot(_ReadGraph):
                 f"edges={self.num_edges})")
 
     def audit(self) -> None:
-        """Consistency check: mirrors match, probabilities valid, no loops."""
+        """Consistency check: mirrors, probabilities, loops and row order."""
         seen = 0
         for u, row in self._out.items():
             for v, p in row.items():
@@ -205,10 +185,15 @@ class Snapshot(_ReadGraph):
             raise AssertionError("in/out edge counts differ")
         if self._out.keys() != self._in.keys():
             raise AssertionError("in/out node sets differ")
+        for direction, rows in (("out", self._out), ("in", self._in)):
+            for u, row in rows.items():
+                pairs = list(row.items())
+                if pairs != sorted(pairs, key=lambda vp: (-vp[1], vp[0])):
+                    raise AssertionError(f"{direction}-row of {u} out of order")
 
 
 def _check_snapshot(g) -> None:
-    """Searches and cascades read the row caches only a Snapshot keeps."""
+    """Searches need a Snapshot's row order, and cascades its kernel slot."""
     if not isinstance(g, Snapshot):
         raise TypeError(f"expected a Snapshot, got {type(g).__name__}; "
                         f"freeze() a GraphBuilder first")
@@ -313,8 +298,19 @@ class GraphBuilder(_ReadGraph):
 
         Adjacency rows are handed over without copying; the builder detaches
         from them (future mutations copy on write), so it stays usable for
-        building the next snapshot on top of this one.
+        building the next snapshot on top of this one. The rows it wrote are
+        put in search order; the others are a snapshot's, so already are.
         """
+        for rows, owned in ((self._out, self._owned_out),
+                            (self._in, self._owned_in)):
+            for u in owned:
+                if len(rows[u]) > 1:
+                    # by id (keys are unique), then a stable sort by
+                    # descending prob: the order of the key (-prob, id)
+                    # without a Python key function per pair
+                    pairs = sorted(rows[u].items())
+                    pairs.sort(key=itemgetter(1), reverse=True)
+                    rows[u] = dict(pairs)
         snap = Snapshot(self._out, self._in, label)
         self._out = dict(self._out)
         self._in = dict(self._in)

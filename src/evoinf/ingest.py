@@ -49,7 +49,12 @@ class TrivalencyProb:
         self.seed = seed
 
     def prob_for(self, u: int, v: int) -> float:
-        k = np.random.SeedSequence((self.seed, u, v)).generate_state(1)[0]
+        entropy = (self.seed, u, v)
+        if 0 <= min(entropy) and max(entropy) <= 0xFFFFFFFF:
+            # the uint32 words SeedSequence would split the tuple into, one
+            # per int, without its per-call conversion (half the cost)
+            entropy = np.array(entropy, dtype=np.uint32)
+        k = np.random.SeedSequence(entropy).generate_state(1)[0]
         return TRIVALENCY[int(k) % 3]
 
     def __repr__(self):

@@ -83,10 +83,9 @@ def _search(g: Snapshot, root: int, floor: float, direction: str):
     (parent_path, node) compares the full paths: the pop order is a total
     order independent of adjacency iteration order, and equal-probability
     paths resolve to fewer hops, then to the smallest lexicographic node
-    sequence. A node's path tuple is built at most once: when it settles
-    and some extension of it clears the floor.
+    sequence. A node's path tuple is built at most once: on its first push.
     Probabilities stay in the product domain; the theta prune bounds them
-    away from zero, so nothing underflows. Neighbor rows are scanned in
+    away from zero, so nothing underflows. A snapshot's rows iterate in
     descending probability order, so a scan stops at the first neighbor
     whose extension falls under the floor.
 
@@ -95,26 +94,23 @@ def _search(g: Snapshot, root: int, floor: float, direction: str):
     members: dict[int, tuple[float, int | None, float]] = {}
     heap = [(-1.0, 0, (), root, 1.0)]
     push, pop = heappush, heappop
-    row_of = (g._out_sorted if direction == "out" else g._in_sorted).get
+    rows = g._out if direction == "out" else g._in
     while heap:
         neg_prob, hops, parent_path, u, edge_p = pop(heap)
         if u in members:
             continue
         prob = -neg_prob
         members[u] = (prob, parent_path[-1] if hops else None, edge_p)
-        row = row_of(u)
-        if row is None:
-            row = g.sorted_row(u, direction)
-        if not row or prob * row[0][1] < floor:
-            continue  # no extension clears the floor: u is a leaf
-        path = parent_path + (u,)
-        nh = hops + 1
-        for v, p in row:
+        path = None
+        for v, p in rows[u].items():
             np_ = prob * p
             if np_ < floor:
                 break
             if v in members:
                 continue
+            if path is None:
+                path = parent_path + (u,)
+                nh = hops + 1
             push(heap, (-np_, nh, path, v, p))
     return members
 

@@ -91,6 +91,7 @@ def greedy_select(g: Snapshot, k: int, runs: int, master_seed: int
     """Hill-climbing greedy selection with lazy marginal re-evaluation
     (CELF, Leskovec et al., KDD 2007). Ties break to the smaller node id.
     """
+    _check_snapshot(g)
     _check_k(k)
     _check_nonempty(g)
     t0 = time.perf_counter()
@@ -200,6 +201,7 @@ class MiaSelector:
 
 def mia_select(g: Snapshot, k: int, theta: float) -> SeedResult:
     """K rounds of argmax over localized marginal spread."""
+    _check_snapshot(g)
     _check_k(k)
     _check_theta(theta)
     _check_nonempty(g)

@@ -164,3 +164,16 @@ def test_structure_sharing_does_not_leak():
     assert g._out[3] is not g2._out[3]
     g.audit()
     g2.audit()
+
+
+@pytest.mark.parametrize("out, inn", [
+    # out-row of 0 by ascending probability
+    ({0: {1: 0.2, 2: 0.5}, 1: {}, 2: {}},
+     {0: {}, 1: {0: 0.2}, 2: {0: 0.5}}),
+    # in-row of 2: a probability tie with the larger id first
+    ({0: {2: 0.5}, 1: {2: 0.5}, 2: {}},
+     {0: {}, 1: {}, 2: {1: 0.5, 0: 0.5}}),
+], ids=["out_by_prob", "in_by_id"])
+def test_audit_rejects_a_row_out_of_search_order(out, inn):
+    with pytest.raises(AssertionError, match="out of order"):
+        Snapshot(out, inn).audit()

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from evoinf import (InvalidConfig, InvalidProbability, ParseError,
@@ -91,6 +94,18 @@ def test_trivalency_policy_is_deterministic(tmp_path):
     assert g1 != g3  # 3^40 to one against a full collision
     probs = {p for _, _, p in g1.edges()}
     assert len(probs) > 1
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**70 + 5])
+def test_trivalency_draw_is_the_seed_sequence_of_the_triple(seed):
+    # ids and seeds of one uint32 word and of more, around the word boundary
+    policy = TrivalencyProb(seed)
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(10**6), rng.randrange(10**6)) for _ in range(200)]
+    for u, v in pairs + [(0, 1), (1, 0), (2**32 - 1, 3), (2**32, 3),
+                         (5, 2**40 + 1)]:
+        k = np.random.SeedSequence((seed, u, v)).generate_state(1)[0]
+        assert policy.prob_for(u, v) == TRIVALENCY[int(k) % 3], (u, v)
 
 
 def test_parse_prob_policy():

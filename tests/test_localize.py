@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from evoinf import (EvolutionContext, GraphBuilder, InvalidConfig, Snapshot,
-                    UnknownNode, activation_prob, apply_all, degree_select,
-                    exact_spread, greedy_select, local_region, mia_select,
-                    mia_spread, random_select, simulate_spread)
+from evoinf import (EmptyGraph, EvolutionContext, GraphBuilder, InvalidConfig,
+                    Snapshot, UnknownNode, activation_prob, apply_all,
+                    degree_select, exact_spread, greedy_select, local_region,
+                    mia_select, mia_spread, random_select, simulate_spread)
 from evoinf.localize import theta_floor
 from conftest import random_graph
 
@@ -272,24 +272,39 @@ def test_theta_outside_unit_interval_rejected(theta):
             call()
 
 
-@pytest.mark.parametrize("analysis", [
-    lambda g: local_region(g, 0, "out", 0.1),
-    lambda g: mia_spread(g, 0, (), 0.1),
+_SELECTORS = [
     lambda g: mia_select(g, 1, 0.1),
     lambda g: degree_select(g, 1),
     lambda g: random_select(g, 1, 1),
     lambda g: greedy_select(g, 1, 10, 1),
-    lambda g: simulate_spread(g, {0}, 10, 1),
-    lambda g: exact_spread(g, [0]),
+]
+_EDGE = Snapshot.build([0, 1], [(0, 1, 0.5)])
+_EMPTY = Snapshot.build()
+
+
+@pytest.mark.parametrize("analysis, base", [
+    (lambda g: local_region(g, 0, "out", 0.1), _EDGE),
+    (lambda g: mia_spread(g, 0, (), 0.1), _EDGE),
+    *((select, _EDGE) for select in _SELECTORS),
+    (lambda g: simulate_spread(g, {0}, 10, 1), _EDGE),
+    (lambda g: exact_spread(g, [0]), _EDGE),
     # checked before any early return on no seeds or an empty stream
-    lambda g: simulate_spread(g, [], 10, 1),
-    lambda g: apply_all(g, []),
-    lambda g: EvolutionContext.from_stream(g, []),
+    (lambda g: simulate_spread(g, [], 10, 1), _EDGE),
+    (lambda g: apply_all(g, []), _EDGE),
+    (lambda g: EvolutionContext.from_stream(g, []), _EDGE),
+    # and before the node count
+    *((select, _EMPTY) for select in _SELECTORS),
 ], ids=["local_region", "mia_spread", "mia_select", "degree_select",
         "random_select", "greedy_select", "simulate_spread", "exact_spread",
-        "simulate_spread_no_seeds", "apply_all", "from_stream"])
-def test_analyses_reject_a_graph_builder(analysis):
-    b = GraphBuilder(Snapshot.build([0, 1], [(0, 1, 0.5)]))
+        "simulate_spread_no_seeds", "apply_all", "from_stream",
+        "mia_select_empty", "degree_select_empty", "random_select_empty",
+        "greedy_select_empty"])
+def test_analyses_reject_a_graph_builder(analysis, base):
+    b = GraphBuilder(base)
     with pytest.raises(TypeError, match="freeze"):
         analysis(b)
-    analysis(b.freeze())
+    if base.num_nodes:
+        analysis(b.freeze())
+    else:
+        with pytest.raises(EmptyGraph):
+            analysis(b.freeze())

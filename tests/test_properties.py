@@ -12,9 +12,10 @@ import math
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from evoinf import (AddEdge, AddNode, AddWeight, DecWeight,
-                    EvolutionContext, GraphBuilder, PreconditionViolation,
-                    RemoveEdge, accumulate_deltas, apply_all,
-                    cascade_node_removal, diff, local_region, mia_spread)
+                    EvolutionContext, GenConfig, GraphBuilder,
+                    PreconditionViolation, RemoveEdge, accumulate_deltas,
+                    apply_all, cascade_node_removal, diff, generate_evolving,
+                    local_region, mia_spread)
 from evoinf.localize import theta_floor
 from conftest import fold_kernels, reference_search
 
@@ -133,15 +134,21 @@ def test_local_region_matches_the_reference_search(case):
 
 
 @PROPERTY
-@given(tie_graphs())
-def test_sorted_row_matches_the_key_sort(case):
-    g, _ = case
-    for u in sorted(g.nodes()):
-        for direction, raw in (("out", g.out_neighbors(u)),
-                               ("in", g.in_neighbors(u))):
-            want = sorted(raw.items(), key=lambda kv: (-kv[1], kv[0]))
-            assert list(g.sorted_row(u, direction)) == want
-            assert g.sorted_row(u, direction) is g.sorted_row(u, direction)
+@given(evolutions(), st.integers(0, 2**32 - 1))
+def test_rows_iterate_in_search_order(case, master_seed):
+    # audit() checks that every row iterates by descending probability,
+    # then node id: rows a stream rewrote (weight changes, removals,
+    # re-added ids) and rows it shares with g; then every snapshot one
+    # generator builder freezes step after step under churn
+    g, stream, _ = case
+    g.audit()
+    apply_all(g, stream).audit()
+    snaps, _ = generate_evolving(GenConfig(
+        n0=6, steps=5, nodes_per_step=4, m=2, master_seed=master_seed,
+        extra_edge_fraction=0.5, remove_edge_fraction=0.1,
+        weight_change_fraction=0.3, remove_node_count=1))
+    for snap in snaps:
+        snap.audit()
 
 
 @PROPERTY
