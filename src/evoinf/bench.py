@@ -12,11 +12,11 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import ScenarioError
 from .generate import GenConfig, generate_evolving
-from .graph import Snapshot
+from .graph import Snapshot, _records
 from .incremental import EvolutionContext, PruneConfig, incinf_select
 from .ingest import load_temporal_edges, parse_prob_policy, snapshot_at
 from .select import (SeedResult, degree_select, greedy_select, mia_select,
@@ -24,7 +24,15 @@ from .select import (SeedResult, degree_select, greedy_select, mia_select,
 from .simulate import simulate_spread
 
 SCHEMA_VERSION = 1
-ALGORITHMS = ("greedy", "mia", "degree", "random", "incinf")
+# static selectors by name, called as (g, k, theta, runs, seed); each name is
+# looked up when called, so a selector patched into this module is the one run
+_STATIC = {
+    "greedy": lambda g, k, theta, runs, seed: greedy_select(g, k, runs, seed),
+    "mia": lambda g, k, theta, runs, seed: mia_select(g, k, theta),
+    "degree": lambda g, k, theta, runs, seed: degree_select(g, k),
+    "random": lambda g, k, theta, runs, seed: random_select(g, k, seed),
+}
+ALGORITHMS = (*_STATIC, "incinf")
 
 CSV_COLUMNS = [
     "transition", "from_label", "to_label", "nodes", "edges", "algorithm",
@@ -54,10 +62,7 @@ class Scenario:
 def parse_scenario(path) -> Scenario:
     raw: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
+        for line_no, text in _records(fh):
             if "=" not in text:
                 raise ScenarioError(text, f"line {line_no} is not key=value")
             key, value = text.split("=", 1)
@@ -108,21 +113,16 @@ def parse_scenario(path) -> Scenario:
             raise ScenarioError(key, "must be >= 1")
 
     if "gen.n0" in raw:
-        sc.gen = GenConfig(
-            n0=typed("gen.n0", int),
-            steps=typed("gen.steps", int),
-            nodes_per_step=typed("gen.nodes_per_step", int),
-            m=typed("gen.m", int),
-            prob_policy=typed("gen.prob_policy", default="trivalency"),
-            master_seed=typed("gen.seed", int, 0),
-            extra_edge_fraction=typed("gen.extra_edge_fraction", float,
-                                      0.0),
-            remove_edge_fraction=typed("gen.remove_edge_fraction", float,
-                                       0.0),
-            weight_change_fraction=typed("gen.weight_change_fraction",
-                                         float, 0.0),
-            remove_node_count=typed("gen.remove_node_count", int, 0),
-        )
+        # one gen.<field> key per GenConfig field, gen.seed for master_seed;
+        # a field without a default is a required integer
+        values = {}
+        for f in fields(GenConfig):
+            key = "gen.seed" if f.name == "master_seed" else f"gen.{f.name}"
+            if f.default is MISSING:
+                values[f.name] = typed(key, int)
+            else:
+                values[f.name] = typed(key, type(f.default), f.default)
+        sc.gen = GenConfig(**values)
     elif "edges_file" in raw:
         sc.edges_file = typed("edges_file")
         times = typed("snapshot_times")
@@ -157,19 +157,6 @@ def _load_snapshots(sc: Scenario) -> list[Snapshot]:
     return [snapshot_at(records, t, policy) for t in sc.snapshot_times]
 
 
-def _run_static(algo: str, g: Snapshot, k: int, theta: float, runs: int,
-                seed: int) -> SeedResult:
-    if algo == "greedy":
-        return greedy_select(g, k, runs, seed)
-    if algo == "mia":
-        return mia_select(g, k, theta)
-    if algo == "degree":
-        return degree_select(g, k)
-    if algo == "random":
-        return random_select(g, k, seed)
-    raise ScenarioError("algos", f"unknown algorithm {algo!r}")
-
-
 def run_benchmark(sc: Scenario) -> dict:
     """Execute the scenario; returns the full report as a dictionary."""
     snapshots = _load_snapshots(sc)
@@ -190,8 +177,8 @@ def run_benchmark(sc: Scenario) -> dict:
                                     pad=True)
                 prev_inc = res
             else:
-                res = _run_static(algo, g_new, sc.k, sc.theta,
-                                  sc.select_runs, sc.select_seed)
+                res = _STATIC[algo](g_new, sc.k, sc.theta, sc.select_runs,
+                                    sc.select_seed)
             est = simulate_spread(g_new, res.seeds, sc.eval_runs,
                                   sc.eval_seed)
             ratios = res.params.get("prune_ratios", [])

@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import analytics
-from .bench import (_run_static, parse_scenario, report_csv, report_json,
+from .bench import (_STATIC, parse_scenario, report_csv, report_json,
                     run_benchmark)
 from .errors import EvoinfError, InvalidConfig
 from .generate import GenConfig, generate_evolving
@@ -109,14 +110,8 @@ def _write_edge_list(g: Snapshot, path: Path) -> None:
 
 
 def cmd_gen(args) -> int:
-    cfg = GenConfig(
-        n0=args.n0, steps=args.steps, nodes_per_step=args.nodes_per_step,
-        m=args.m, prob_policy=args.prob_policy, master_seed=args.seed,
-        extra_edge_fraction=args.extra_edge_fraction,
-        remove_edge_fraction=args.remove_edge_fraction,
-        weight_change_fraction=args.weight_change_fraction,
-        remove_node_count=args.remove_node_count,
-    )
+    cfg = GenConfig(**{f.name: getattr(args, f.name)
+                       for f in fields(GenConfig)})
     snapshots, streams = generate_evolving(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -164,7 +159,7 @@ def cmd_diff(args) -> int:
 
 def cmd_select(args) -> int:
     g = _load_graph(args)
-    res = _run_static(args.algo, g, args.k, args.theta, args.runs, args.seed)
+    res = _STATIC[args.algo](g, args.k, args.theta, args.runs, args.seed)
     _emit(args, json.dumps(res.to_dict(), indent=2))
     return 0
 
@@ -271,13 +266,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="during stream replay, expand node removals "
                             "into their incident edge removals first")
 
+    # each dest is a GenConfig field name; cmd_gen builds the config by them
     p = sub.add_parser("gen", help="generate an evolving network")
     p.add_argument("--n0", type=int, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--nodes-per-step", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--prob-policy", default="trivalency")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int,
+                   default=0)
     p.add_argument("--extra-edge-fraction", type=float, default=0.0)
     p.add_argument("--remove-edge-fraction", type=float, default=0.0)
     p.add_argument("--weight-change-fraction", type=float, default=0.0)
@@ -299,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="static top-K selection")
     common_graph_opts(p)
-    p.add_argument("--algo", choices=("greedy", "mia", "degree", "random"),
-                   required=True)
+    p.add_argument("--algo", choices=tuple(_STATIC), required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--theta", type=float, default=0.01)
     p.add_argument("--runs", type=int, default=10_000)

@@ -154,9 +154,14 @@ def generate_evolving(cfg: GenConfig) -> tuple[list[Snapshot],
                 pool.append(v)
             pool.append(u)
 
-        # densification between existing nodes, both ends preferential
-        n_extra = math.ceil(cfg.extra_edge_fraction * cfg.nodes_per_step
-                            * cfg.m) if cfg.extra_edge_fraction else 0
+        # densification between existing nodes, both ends preferential; no
+        # more tries than there are absent ordered pairs
+        n_extra = 0
+        if cfg.extra_edge_fraction:
+            n = b.num_nodes
+            n_extra = math.ceil(min(cfg.extra_edge_fraction
+                                    * cfg.nodes_per_step * cfg.m,
+                                    n * (n - 1) - b.num_edges))
         for _ in range(n_extra):
             src = pick_targets(pool, 1, set())
             if not src:

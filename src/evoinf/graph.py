@@ -436,12 +436,15 @@ def write_change_stream(path, changes: Iterable[Change]) -> None:
             fh.write(format_change(c) + "\n")
 
 
+def _records(fh) -> Iterator[tuple[int, str]]:
+    """(line number from 1, text) of each line of a record file that holds
+    more than a `#` comment, with the comment and outer blanks cut."""
+    for line_no, raw in enumerate(fh, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if text:
+            yield line_no, text
+
+
 def read_change_stream(path) -> ChangeStream:
-    stream: ChangeStream = []
     with open(path, "r", encoding="utf-8") as fh:
-        for i, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            stream.append(parse_change(line, i))
-    return stream
+        return [parse_change(line, i) for i, line in _records(fh)]

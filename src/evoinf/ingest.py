@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, InvalidProbability, ParseError
-from .graph import GraphBuilder, AddEdge, AddNode, Snapshot
+from .graph import Snapshot, _records
 
 TRIVALENCY = (0.1, 0.01, 0.001)
 
@@ -100,10 +100,7 @@ def load_temporal_edges(path, undirected: bool = False
         return idx
 
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for line_no, line in _records(fh):
             parts = line.split()
             if len(parts) not in (3, 4):
                 raise ParseError(line_no, f"expected 3 or 4 fields, got "
@@ -139,8 +136,8 @@ def snapshot_at(records: list[TemporalEdge], t: int, prob_policy=None
 
     Repeated (u, v) records collapse to the one with the largest timestamp
     (ties: the later record in file order wins). Missing probabilities are
-    filled by `prob_policy`; zero-probability records are dropped, since the
-    engine stores only edges with p in (0, 1].
+    filled by `prob_policy`. A zero-probability record adds its endpoints but
+    no edge, since the engine stores only edges with p in (0, 1].
     """
     latest: dict[tuple[int, int], TemporalEdge] = {}
     for r in records:
@@ -150,23 +147,20 @@ def snapshot_at(records: list[TemporalEdge], t: int, prob_policy=None
         if cur is None or r.t >= cur.t:
             latest[(r.u, r.v)] = r
 
-    b = GraphBuilder()
-    for (u, v) in sorted(latest):
-        r = latest[(u, v)]
-        p = r.prob
+    pairs = sorted(latest)
+    edges = []
+    for (u, v) in pairs:
+        p = latest[(u, v)].prob
         if p is None:
             if prob_policy is None:
                 raise InvalidProbability(
                     f"edge ({u},{v}) has no probability and no fill policy "
                     f"was given")
             p = prob_policy.prob_for(u, v)
-        if not b.has_node(u):
-            b.apply(AddNode(u))
-        if not b.has_node(v):
-            b.apply(AddNode(v))
         if p > 0.0:
-            b.apply(AddEdge(u, v, p))
-    return b.freeze(t)
+            edges.append((u, v, p))
+    nodes = dict.fromkeys(x for pair in pairs for x in pair)
+    return Snapshot.build(nodes, edges, t)
 
 
 def write_id_map(path, ids: dict[str, int]) -> None:

@@ -3,11 +3,12 @@ import io
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
-from evoinf import (AddEdge, AddNode, EvolutionContext, ScenarioError,
-                    Snapshot)
+from evoinf import (AddEdge, AddNode, EvolutionContext, GenConfig,
+                    ScenarioError, Snapshot)
 from evoinf.bench import parse_scenario, report_csv, run_benchmark
 from evoinf.cli import main
 
@@ -90,6 +91,34 @@ def test_scenario_errors(tmp_path):
         assert type_errors.get(field, "") in str(err.value), text
     path.write_text(edges + "undirected = TRUE\n")
     assert parse_scenario(path).undirected
+
+
+# every GenConfig field at a value other than its default
+GEN_VALUES = dict(n0=7, steps=2, nodes_per_step=11, m=3,
+                  prob_policy="fixed:0.3", master_seed=9,
+                  extra_edge_fraction=0.25, remove_edge_fraction=0.01,
+                  weight_change_fraction=0.02, remove_node_count=1)
+
+
+def test_every_generator_field_is_a_scenario_key_and_a_gen_option(
+        tmp_path, capsys):
+    assert list(GEN_VALUES) == [f.name for f in fields(GenConfig)]
+    assert all(GEN_VALUES[f.name] != f.default for f in fields(GenConfig))
+    names = {name: "seed" if name == "master_seed" else name
+             for name in GEN_VALUES}
+
+    path = tmp_path / "scenario.txt"
+    path.write_text("algos = mia\nk = 2\ntheta = 0.1\neval_seed = 1\n"
+                    + "".join(f"gen.{names[name]} = {value}\n"
+                              for name, value in GEN_VALUES.items()))
+    assert parse_scenario(path).gen == GenConfig(**GEN_VALUES)
+
+    argv = ["gen", "--out-dir", str(tmp_path / "net")]
+    for name, value in GEN_VALUES.items():
+        argv += ["--" + names[name].replace("_", "-"), str(value)]
+    assert main(argv) == 0
+    meta = json.loads((tmp_path / "net" / "meta.json").read_text())
+    assert meta["config"] == GEN_VALUES
 
 
 def test_benchmark_report_structure(scenario_file):

@@ -5,6 +5,7 @@ import pytest
 
 from evoinf import (GenConfig, InvalidConfig, InvalidProbability, apply_all,
                     diff, generate_evolving)
+from evoinf.cli import main
 from evoinf.graph import format_change
 from evoinf.ingest import TRIVALENCY
 
@@ -107,6 +108,20 @@ def test_churn_streams_are_pinned():
     text = "".join(format_change(c) + "\n" for s in streams for c in s)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "1fd2859de615e0884abf31e6855e5d8e81ce6a2a53f8731a4fee56102c6669a1")
+
+
+@pytest.mark.parametrize("fraction", [1e9, 1e308])
+def test_densification_stops_when_no_pair_is_left(tmp_path, capsys, fraction):
+    # asks for far more extra edges than a 5-node graph can hold
+    cfg = GenConfig(n0=2, steps=1, nodes_per_step=3, m=2,
+                    extra_edge_fraction=fraction)
+    snapshots, _ = generate_evolving(cfg)
+    for g in snapshots:
+        g.audit()
+    assert snapshots[-1].num_edges <= 5 * 4
+    assert main(["gen", "--n0", "2", "--steps", "1", "--nodes-per-step", "3",
+                 "--m", "2", "--extra-edge-fraction", str(fraction),
+                 "--out-dir", str(tmp_path / "net")]) == 0
 
 
 def test_trivalency_probabilities():

@@ -49,6 +49,25 @@ def test_parallel_records_keep_latest_timestamp(tmp_path):
     assert g.prob(0, 1) == 0.1
 
 
+def test_zero_probability_records_add_isolated_nodes(tmp_path):
+    path = tmp_path / "edges.tsv"
+    path.write_text("c\td\t1\t0\n"      # ids 0, 1: nodes only
+                    "a\tb\t1\t0.5\n"    # ids 2, 3
+                    "e\ta\t1\t0.0\n"    # id 4; a already has a node
+                    "c\tb\t2\t0.25\n")
+    records, _ = load_temporal_edges(path)
+    g = snapshot_at(records, 1)
+    assert sorted(g.edges()) == [(2, 3, 0.5)]
+    assert g.num_nodes == 5 and g.out_degree(0) == g.in_degree(1) == 0
+    # first appearance over the sorted (u, v) pairs: (0,1), (2,3), (4,2)
+    assert list(g.nodes()) == [0, 1, 2, 3, 4]
+    g.audit()
+    # the later record for (0, 3) is an edge; (0, 1) stays edgeless
+    g2 = snapshot_at(records, 2)
+    assert sorted(g2.edges()) == [(0, 3, 0.25), (2, 3, 0.5)]
+    assert list(g2.nodes()) == [0, 1, 3, 2, 4]
+
+
 def test_undirected_ingestion_doubles_edges(tmp_path):
     path = tmp_path / "edges.tsv"
     path.write_text("a\tb\t1\t0.5\n")
