@@ -14,14 +14,16 @@ import json
 import time
 from dataclasses import MISSING, dataclass, field, fields
 
-from .errors import ScenarioError
+from .errors import InvalidConfig, ScenarioError
 from .generate import GenConfig, generate_evolving
 from .graph import Snapshot, _records
-from .incremental import EvolutionContext, PruneConfig, incinf_select
+from .incremental import (EvolutionContext, PruneConfig, _check_eta,
+                          incinf_select)
 from .ingest import load_temporal_edges, parse_prob_policy, snapshot_at
-from .select import (SeedResult, degree_select, greedy_select, mia_select,
-                     random_select)
-from .simulate import simulate_spread
+from .localize import _check_theta
+from .select import (SeedResult, _check_k, degree_select, greedy_select,
+                     mia_select, random_select)
+from .simulate import _check_runs, simulate_spread
 
 SCHEMA_VERSION = 1
 # static selectors by name, called as (g, k, theta, runs, seed); each name is
@@ -89,6 +91,8 @@ def parse_scenario(path) -> Scenario:
     for a in algos:
         if a not in ALGORITHMS:
             raise ScenarioError("algos", f"unknown algorithm {a!r}")
+        if algos.count(a) > 1:
+            raise ScenarioError("algos", f"repeated algorithm {a!r}")
     if not algos:
         raise ScenarioError("algos", "empty")
 
@@ -102,15 +106,13 @@ def parse_scenario(path) -> Scenario:
         select_runs=typed("select_runs", int, 10_000),
         select_seed=typed("select_seed", int, 0),
     )
-    if sc.k < 1:
-        raise ScenarioError("k", "must be >= 1")
-    if not (0.0 < sc.theta < 1.0):
-        raise ScenarioError("theta", "must be in (0, 1)")
-    if not (0.0 < sc.eta <= 1.0):
-        raise ScenarioError("eta", "must be in (0, 1]")
-    for key in ("eval_runs", "select_runs"):
-        if getattr(sc, key) < 1:
-            raise ScenarioError(key, "must be >= 1")
+    for key, check in [("k", _check_k), ("theta", _check_theta),
+                       ("eta", _check_eta), ("eval_runs", _check_runs),
+                       ("select_runs", _check_runs)]:
+        try:
+            check(getattr(sc, key), key)
+        except InvalidConfig as exc:
+            raise ScenarioError(key, str(exc))
 
     if "gen.n0" in raw:
         # one gen.<field> key per GenConfig field, gen.seed for master_seed;
@@ -165,11 +167,12 @@ def run_benchmark(sc: Scenario) -> dict:
 
     for idx in range(1, len(snapshots)):
         g_old, g_new = snapshots[idx - 1], snapshots[idx]
-        ctx = None
         for algo in sc.algos:
+            context_s = 0.0  # the row's context construction (its diff)
             if algo == "incinf":
-                if ctx is None:
-                    ctx = EvolutionContext.from_snapshots(g_old, g_new)
+                t0 = time.perf_counter()
+                ctx = EvolutionContext.from_snapshots(g_old, g_new)
+                context_s = time.perf_counter() - t0
                 if prev_inc is None:
                     prev_inc = mia_select(g_old, sc.k, sc.theta)
                 res = incinf_select(ctx, prev_inc, sc.k, sc.theta,
@@ -192,7 +195,7 @@ def run_benchmark(sc: Scenario) -> dict:
                 "k": sc.k,
                 "theta": sc.theta,
                 "eta": sc.eta if algo == "incinf" else "",
-                "wall_time_s": round(res.wall_time, 6),
+                "wall_time_s": round(res.wall_time + context_s, 6),
                 "spread_mean": est.mean,
                 "spread_stderr": est.std_error,
                 "eval_runs": sc.eval_runs,

@@ -24,7 +24,9 @@ from .graph import (GraphBuilder, RemoveNode, Snapshot,
 from .incremental import EvolutionContext, PruneConfig, _incinf
 from .ingest import (load_temporal_edges, parse_prob_policy, snapshot_at,
                      write_id_map)
-from .simulate import simulate_spread
+from .localize import _check_theta
+from .select import _check_k
+from .simulate import _check_runs, simulate_spread
 
 
 def _add_graph_args(p: argparse.ArgumentParser, suffix: str = "") -> None:
@@ -348,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_ranges(args) -> None:
     theta = getattr(args, "theta", None)
-    if theta is not None and not (0.0 < theta < 1.0):
-        raise InvalidConfig(f"--theta must be in (0, 1), got {theta}")
+    if theta is not None:
+        _check_theta(theta, "--theta")
     ats = [(name, getattr(args, name, None))
            for name in ("at", "at_old", "at_new")]
     ats += [("at_list", at) for at in getattr(args, "at_list", None) or ()]
@@ -357,10 +359,10 @@ def _check_ranges(args) -> None:
         if at is not None and at < 0:
             raise InvalidConfig(f"--{name.replace('_', '-')} must be >= 0, "
                                 f"got {at}")
-    for name in ("k", "runs"):
+    for name, check in [("k", _check_k), ("runs", _check_runs)]:
         value = getattr(args, name, None)
-        if value is not None and value < 1:
-            raise InvalidConfig(f"--{name} must be >= 1, got {value}")
+        if value is not None:
+            check(value, f"--{name}")
 
 
 def main(argv=None) -> int:

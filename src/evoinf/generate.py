@@ -113,12 +113,10 @@ def generate_evolving(cfg: GenConfig) -> tuple[list[Snapshot],
             for idx, (u, v) in enumerate(chosen):
                 w = b.prob(u, v)
                 if idx % 2 == 0 and w < 1.0:
-                    dw = rng.uniform(0.0, 1.0 - w) * 0.5
-                    if 0.0 < w + dw <= 1.0:
-                        emit(AddWeight(u, v, dw))
-                elif w > 0.0:
+                    emit(AddWeight(u, v, rng.uniform(0.0, 1.0 - w) * 0.5))
+                else:
                     dw = rng.uniform(0.0, w) * 0.5
-                    if 0.0 < w - dw <= 1.0 and dw > 0.0:
+                    if dw > 0.0:
                         emit(DecWeight(u, v, dw))
 
         # random edge removals
@@ -155,7 +153,8 @@ def generate_evolving(cfg: GenConfig) -> tuple[list[Snapshot],
             pool.append(u)
 
         # densification between existing nodes, both ends preferential; no
-        # more tries than there are absent ordered pairs
+        # more tries than there are absent ordered pairs, and the step's
+        # densification ends at the first target pick that fails
         n_extra = 0
         if cfg.extra_edge_fraction:
             n = b.num_nodes
@@ -170,7 +169,7 @@ def generate_evolving(cfg: GenConfig) -> tuple[list[Snapshot],
             forbidden = {u} | set(b.out_neighbors(u))
             tgt = pick_targets(pool, 1, forbidden)
             if not tgt:
-                continue
+                break
             v = tgt[0]
             emit(AddEdge(u, v, policy.prob_for(u, v)))
             pool.append(v)

@@ -158,12 +158,7 @@ class Snapshot(_ReadGraph):
     def __eq__(self, other) -> bool:
         if not isinstance(other, Snapshot):
             return NotImplemented
-        if self._out.keys() != other._out.keys():
-            return False
-        for u, row in self._out.items():
-            if row != other._out[u]:
-                return False
-        return True
+        return self._out == other._out
 
     def __repr__(self) -> str:
         return (f"Snapshot(label={self.label}, nodes={self.num_nodes}, "
@@ -336,8 +331,7 @@ def cascade_node_removal(g: Snapshot | GraphBuilder, u: int) -> ChangeStream:
     if not g.has_node(u):
         raise PreconditionViolation(RemoveNode(u), f"node {u} not present")
     stream: ChangeStream = [RemoveEdge(u, v) for v in sorted(g.out_neighbors(u))]
-    stream.extend(RemoveEdge(w, u) for w in sorted(g.in_neighbors(u))
-                  if w != u)
+    stream.extend(RemoveEdge(w, u) for w in sorted(g.in_neighbors(u)))
     stream.append(RemoveNode(u))
     return stream
 

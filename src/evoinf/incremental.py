@@ -25,13 +25,13 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .errors import (EmptyGraph, InsufficientSeeds, InvalidConfig,
-                     PreconditionViolation, UnknownNode)
+from .errors import (InsufficientSeeds, InvalidConfig, PreconditionViolation,
+                     UnknownNode)
 from .graph import (AddEdge, AddNode, AddWeight, Change, ChangeStream,
                     DecWeight, GraphBuilder, RemoveEdge, RemoveNode, Snapshot,
                     apply_all, diff)
 from .localize import _check_theta, local_region, theta_floor
-from .select import MiaSelector, SeedResult, _check_k, mia_select
+from .select import MiaSelector, SeedResult, _start, mia_select
 
 
 def _end_theta(p: float, floor: float) -> float:
@@ -77,6 +77,11 @@ class DeltaTable:
             fh.write(f"{v},{self.values[v]!r}\n")
 
 
+def _check_eta(eta: float, name: str = "eta") -> None:
+    if not (0.0 < eta <= 1.0):
+        raise InvalidConfig(f"{name} must be in (0, 1], got {eta}")
+
+
 @dataclass
 class PruneConfig:
     """Candidate filter: percentile threshold and the previous seed list."""
@@ -84,8 +89,7 @@ class PruneConfig:
     prev_seeds: list[int]
 
     def __post_init__(self):
-        if not (0.0 < self.eta <= 1.0):
-            raise InvalidConfig(f"eta must be in (0, 1], got {self.eta}")
+        _check_eta(self.eta)
 
 
 class EvolutionContext:
@@ -336,8 +340,8 @@ def incinf_select(ctx: EvolutionContext, prev, k: int, theta: float,
     marginal gains, not through the deltas.
 
     Only `cfg.eta` is read (1.0 without a `cfg`): the seats come from
-    `prev`, padded from `mia_select` when `pad` is set, never from
-    `cfg.prev_seeds`.
+    `prev`, which lists distinct nodes of the old snapshot, padded from
+    `mia_select` when `pad` is set, never from `cfg.prev_seeds`.
 
     With `prune_enabled=False` every node of the new graph is a candidate,
     which makes the output identical to `mia_select` on the new snapshot.
@@ -349,18 +353,17 @@ def _incinf(ctx: EvolutionContext, prev, k: int, theta: float,
             cfg: PruneConfig | None, prune_enabled: bool, pad: bool
             ) -> tuple[SeedResult, DeltaTable]:
     """`incinf_select` and the delta table it pruned with."""
-    _check_k(k)
-    _check_theta(theta)
     g_new = ctx.g_new
-    if g_new.num_nodes == 0:
-        raise EmptyGraph("evolved graph has no nodes")
+    k, t0 = _start(g_new, k, theta)
     prev_seeds = list(prev.seeds) if isinstance(prev, SeedResult) else list(prev)
+    seen: set[int] = set()
     for s in prev_seeds:
         if not ctx.g_old.has_node(s):
             raise UnknownNode(f"previous seed {s} not in the old snapshot")
+        if s in seen:
+            raise InvalidConfig(f"previous seed {s} is repeated")
+        seen.add(s)
 
-    t0 = time.perf_counter()
-    k = min(k, g_new.num_nodes)
     if prune_enabled and len(prev_seeds) < k:
         if not pad:
             raise InsufficientSeeds(
@@ -377,7 +380,7 @@ def _incinf(ctx: EvolutionContext, prev, k: int, theta: float,
 
     table = accumulate_deltas(ctx, frozenset(), theta)
     selector = MiaSelector(g_new, theta)
-    all_nodes = sorted(g_new.nodes())
+    all_nodes = list(g_new.nodes())
     gains: list[float] = []
     ratios: list[float] = []
 

@@ -54,14 +54,9 @@ class LocalRegion:
         return self.members[u][1]
 
 
-def _check_theta(theta: float) -> None:
+def _check_theta(theta: float, name: str = "theta") -> None:
     if not (0.0 < theta < 1.0):
-        raise InvalidConfig(f"theta must be in (0, 1), got {theta}")
-
-
-def _log_cut(theta: float) -> tuple[float, float]:
-    cutoff = -math.log(theta)
-    return cutoff, 1e-12 * max(1.0, cutoff)
+        raise InvalidConfig(f"{name} must be in (0, 1), got {theta}")
 
 
 def theta_floor(theta: float) -> float:
@@ -71,8 +66,8 @@ def theta_floor(theta: float) -> float:
     relative 1e-12 (in the log domain) below theta so that products landing
     exactly on theta up to rounding are included consistently everywhere.
     """
-    cutoff, tol = _log_cut(theta)
-    return math.exp(-(cutoff + tol))
+    cutoff = -math.log(theta)
+    return math.exp(-(cutoff + 1e-12 * max(1.0, cutoff)))
 
 
 def _search(g: Snapshot, root: int, floor: float, direction: str):
@@ -180,14 +175,14 @@ def activation_prob(region: LocalRegion, seeds) -> float:
     return ap[root]
 
 
-def region_weighted_sum(region: LocalRegion, ap: dict[int, float]) -> float:
-    """Sum of member path probabilities discounted by activation probability.
+def region_weighted_sum(members: dict, ap: dict[int, float]) -> float:
+    """Sum of the path probabilities in a region's members map, discounted
+    by activation probability.
 
     Members are accumulated in ascending node order so every caller sees
     the same float for the same inputs.
     """
     total = 0.0
-    members = region.members
     for j in sorted(members):
         total += members[j][0] * (1.0 - ap.get(j, 0.0))
     return total
@@ -210,4 +205,4 @@ def mia_spread(g: Snapshot, v: int, seeds, theta: float) -> float:
             in_r = local_region(g, j, "in", theta)
             if any(s in in_r.members for s in seed_set):
                 ap[j] = activation_prob(in_r, seed_set)
-    return region_weighted_sum(region, ap)
+    return region_weighted_sum(region.members, ap)

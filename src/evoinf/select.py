@@ -44,14 +44,22 @@ class SeedResult:
         }
 
 
-def _check_nonempty(g: Snapshot):
+def _check_k(k: int, name: str = "k") -> None:
+    if k < 1:
+        raise InvalidConfig(f"{name} must be >= 1, got {k}")
+
+
+def _start(g: Snapshot, k: int, theta: float | None = None
+           ) -> tuple[int, float]:
+    """Shared selector preamble: validate the arguments, then return k
+    capped at the node count and the start time."""
+    _check_snapshot(g)
+    _check_k(k)
+    if theta is not None:
+        _check_theta(theta)
     if g.num_nodes == 0:
         raise EmptyGraph("selection on an empty graph")
-
-
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise InvalidConfig(f"k must be >= 1, got {k}")
+    return min(k, g.num_nodes), time.perf_counter()
 
 
 class LiveEdgeEstimator:
@@ -74,9 +82,6 @@ class LiveEdgeEstimator:
         got = self._cache.get(seed_set)
         if got is not None:
             return got
-        if not seed_set:
-            self._cache[seed_set] = 0.0
-            return 0.0
         counts = self._kernel.counts(seed_set, self.runs, self.master_seed)
         val = int(counts.sum()) / self.runs
         self._cache[seed_set] = val
@@ -91,18 +96,14 @@ def greedy_select(g: Snapshot, k: int, runs: int, master_seed: int
     """Hill-climbing greedy selection with lazy marginal re-evaluation
     (CELF, Leskovec et al., KDD 2007). Ties break to the smaller node id.
     """
-    _check_snapshot(g)
-    _check_k(k)
-    _check_nonempty(g)
-    t0 = time.perf_counter()
+    k, t0 = _start(g, k)
     est = LiveEdgeEstimator(g, runs, master_seed)
-    k = min(k, g.num_nodes)
     seeds: list[int] = []
     gains: list[float] = []
     chosen: frozenset = frozenset()
     # entries: (-gain, node, n_seeds_when_computed)
     heap: list[tuple[float, int, int]] = []
-    for v in sorted(g.nodes()):
+    for v in g.nodes():
         heappush(heap, (-est.marginal(v, chosen), v, 0))
     while len(seeds) < k:
         neg, v, at = heappop(heap)
@@ -139,14 +140,11 @@ class MiaSelector:
         self._penalty: dict[int, float] = {}
         self._in_cache: dict[int, LocalRegion] = {}
 
-    def _region(self, v: int, direction: str) -> LocalRegion:
-        return LocalRegion(v, direction, self.theta,
-                           _search(self.g, v, self._floor, direction))
-
     def _in_region(self, j: int) -> LocalRegion:
         got = self._in_cache.get(j)
         if got is None:
-            got = self._in_cache[j] = self._region(j, "in")
+            got = self._in_cache[j] = LocalRegion(
+                j, "in", self.theta, _search(self.g, j, self._floor, "in"))
         return got
 
     def base(self, v: int) -> float:
@@ -154,7 +152,7 @@ class MiaSelector:
         got = self._base.get(v)
         if got is None:
             got = self._base[v] = region_weighted_sum(
-                self._region(v, "out"), {})
+                _search(self.g, v, self._floor, "out"), {})
         return got
 
     def gain(self, v: int) -> float:
@@ -165,7 +163,7 @@ class MiaSelector:
         self._seed_set.add(s)
         penalty = self._penalty
         get = penalty.get
-        for j in sorted(self._region(s, "out").members):
+        for j in sorted(_search(self.g, s, self._floor, "out")):
             in_r = self._in_region(j)
             new_ap = activation_prob(in_r, self._seed_set)
             old_ap = self._ap.get(j, 0.0)
@@ -201,17 +199,11 @@ class MiaSelector:
 
 def mia_select(g: Snapshot, k: int, theta: float) -> SeedResult:
     """K rounds of argmax over localized marginal spread."""
-    _check_snapshot(g)
-    _check_k(k)
-    _check_theta(theta)
-    _check_nonempty(g)
-    t0 = time.perf_counter()
+    k, t0 = _start(g, k, theta)
     sel = MiaSelector(g, theta)
-    k = min(k, g.num_nodes)
-    all_nodes = sorted(g.nodes())
     gains: list[float] = []
     for _ in range(k):
-        v, gain = sel.best(all_nodes)
+        v, gain = sel.best(g.nodes())
         sel.add_seed(v)
         gains.append(gain)
     return SeedResult(sel.seeds, gains, "mia", time.perf_counter() - t0,
@@ -220,11 +212,7 @@ def mia_select(g: Snapshot, k: int, theta: float) -> SeedResult:
 
 def degree_select(g: Snapshot, k: int) -> SeedResult:
     """Top-K nodes by out-degree, ties to the smaller node id."""
-    _check_snapshot(g)
-    _check_k(k)
-    _check_nonempty(g)
-    t0 = time.perf_counter()
-    k = min(k, g.num_nodes)
+    k, t0 = _start(g, k)
     ranked = sorted(g.nodes(), key=lambda u: (-g.out_degree(u), u))
     seeds = ranked[:k]
     gains = [float(g.out_degree(u)) for u in seeds]
@@ -234,11 +222,7 @@ def degree_select(g: Snapshot, k: int) -> SeedResult:
 
 def random_select(g: Snapshot, k: int, master_seed: int) -> SeedResult:
     """Uniform sample of K distinct nodes, deterministic in master_seed."""
-    _check_snapshot(g)
-    _check_k(k)
-    _check_nonempty(g)
-    t0 = time.perf_counter()
-    k = min(k, g.num_nodes)
+    k, t0 = _start(g, k)
     rng = random.Random(master_seed)
     seeds = rng.sample(sorted(g.nodes()), k)
     return SeedResult(seeds, [0.0] * k, "random", time.perf_counter() - t0,

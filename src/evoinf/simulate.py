@@ -54,9 +54,9 @@ def _validate_seeds(g: Snapshot, seeds) -> list[int]:
     return sorted(set(out))
 
 
-def _check_runs(runs: int) -> None:
+def _check_runs(runs: int, name: str = "runs") -> None:
     if runs < 1:
-        raise InvalidConfig(f"runs must be >= 1, got {runs}")
+        raise InvalidConfig(f"{name} must be >= 1, got {runs}")
 
 
 def simulate_spread(g: Snapshot, seeds, runs: int, master_seed: int

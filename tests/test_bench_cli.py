@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -8,7 +10,8 @@ from dataclasses import fields
 import pytest
 
 from evoinf import (AddEdge, AddNode, EvolutionContext, GenConfig,
-                    ScenarioError, Snapshot)
+                    InvalidConfig, PruneConfig, ScenarioError, Snapshot,
+                    greedy_select, mia_select)
 from evoinf.bench import parse_scenario, report_csv, run_benchmark
 from evoinf.cli import main
 
@@ -68,13 +71,17 @@ def test_scenario_errors(tmp_path):
            "gen.n0 = 5\ngen.steps = 1\ngen.nodes_per_step = 2\ngen.m = 2\n")
     edges = ("algos = mia\nk = 2\ntheta = 0.1\neval_seed = 1\n"
              "edges_file = trace.tsv\nsnapshot_times = 1,2\n")
-    type_errors = {"k": "not an integer", "theta": "not a number",
-                   "gen.extra_edge_fraction": "not a number"}
+    messages = {"k": "not an integer", "theta": "not a number",
+                "gen.extra_edge_fraction": "not a number",
+                "algos": "repeated algorithm 'incinf'"}
     for text, field in [
             (gen + "eval_run = 5\n", "eval_run"),        # misspelt key
             (gen + "gen.sed = 9\n", "gen.sed"),
             (gen + "undirected = true\n", "undirected"),  # edges_file only
             (edges + "gen.seed = 3\n", "gen.seed"),       # gen block only
+            # a second incinf row would take the first one's new seeds as
+            # its previous seeds
+            (gen.replace("mia", "incinf,mia,incinf"), "algos"),
             (gen + "eta = 0\n", "eta"),
             (gen + "eta = 1.5\n", "eta"),
             (gen + "eval_runs = 0\n", "eval_runs"),
@@ -88,7 +95,7 @@ def test_scenario_errors(tmp_path):
         with pytest.raises(ScenarioError) as err:
             parse_scenario(path)
         assert err.value.field == field, text
-        assert type_errors.get(field, "") in str(err.value), text
+        assert messages.get(field, "") in str(err.value), text
     path.write_text(edges + "undirected = TRUE\n")
     assert parse_scenario(path).undirected
 
@@ -171,6 +178,41 @@ def test_benchmark_random_only_row_count(tmp_path):
     report = run_benchmark(parse_scenario(path))
     assert len(report["rows"]) == 2
     assert all(r["spread_mean"] >= 5 for r in report["rows"])
+
+
+FIVE_ALGORITHMS = """\
+algos = greedy,mia,incinf,degree,random
+k = 4
+theta = 0.02
+eta = 0.1
+eval_runs = 200
+eval_seed = 5
+select_runs = 100
+select_seed = 3
+gen.n0 = 20
+gen.steps = 4
+gen.nodes_per_step = 40
+gen.m = 3
+gen.seed = 8
+gen.extra_edge_fraction = 0.4
+gen.remove_edge_fraction = 0.01
+gen.weight_change_fraction = 0.02
+gen.remove_node_count = 2
+"""
+
+
+def test_benchmark_rows_are_pinned(tmp_path):
+    # every algorithm on a churn instance; every row field except the wall
+    # time hashes to the value of a reference run, so a refactor of the
+    # selectors, the evaluation or the report cannot change rows unnoticed
+    path = tmp_path / "s.txt"
+    path.write_text(FIVE_ALGORITHMS)
+    rows = [{k: v for k, v in row.items() if k != "wall_time_s"}
+            for row in run_benchmark(parse_scenario(path))["rows"]]
+    assert len(rows) == 4 * 5
+    text = json.dumps(rows, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "01c6d7ea8ba1684e1e52981d9c99addab1e73cbe649ab9186414f60e27149fc5")
 
 
 # -- CLI --
@@ -465,3 +507,55 @@ def test_cli_malformed_seed_list_is_json_error(tmp_path, tiny_streams,
     extra = [option, spec] if option else []
     assert run_cli(*graph, *extra) == 1
     assert error_record(capsys)["error"] == "InvalidConfig"
+
+
+def test_cli_incinf_rejects_a_repeated_previous_seed(tiny_streams, capsys):
+    assert run_cli("incinf", "--streams-old", str(tiny_streams),
+                   "--at-old", "0", "--streams-new", str(tiny_streams),
+                   "--at-new", "1", "--prev-seeds", "0,0,0", "--k", "3") == 1
+    assert error_record(capsys) == {
+        "error": "InvalidConfig", "message": "previous seed 0 is repeated"}
+
+
+@pytest.mark.parametrize("name, value, rule", [
+    ("theta", "1.5", "must be in (0, 1), got 1.5"),
+    ("k", "0", "must be >= 1, got 0"),
+    ("runs", "0", "must be >= 1, got 0"),
+    ("eta", "0", "must be in (0, 1], got 0.0"),
+])
+def test_one_rule_text_per_range(tmp_path, tiny_streams, capsys, name, value,
+                                 rule):
+    # the library, the CLI and a scenario file state each range rule in
+    # the same words
+    g = Snapshot.build([0, 1, 2], [(0, 1, 0.5), (1, 2, 0.5)])
+    library = {
+        "theta": lambda: mia_select(g, 1, float(value)),
+        "k": lambda: mia_select(g, int(value), 0.1),
+        "runs": lambda: greedy_select(g, 1, int(value), 1),
+        "eta": lambda: PruneConfig(float(value), []),
+    }[name]
+    with pytest.raises(InvalidConfig, match=re.escape(rule)):
+        library()
+
+    streams = str(tiny_streams)
+    command = {
+        "eta": ["incinf", "--streams-old", streams, "--at-old", "0",
+                "--streams-new", streams, "--at-new", "1",
+                "--prev-seeds", "0"],
+        "runs": ["select", "--streams", streams, "--at", "1",
+                 "--algo", "greedy"],
+    }.get(name, ["select", "--streams", streams, "--at", "1",
+                 "--algo", "mia"])
+    assert run_cli(*command, "--k", "1", f"--{name}", value) == 1
+    record = error_record(capsys)
+    assert record["error"] == "InvalidConfig"
+    assert record["message"].endswith(rule)
+
+    key = "eval_runs" if name == "runs" else name
+    path = tmp_path / "s.txt"
+    path.write_text(re.sub(f"^{key} = .*$", f"{key} = {value}",
+                           FIVE_ALGORITHMS, flags=re.M))
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(path)
+    assert err.value.field == key
+    assert str(err.value).endswith(rule)

@@ -124,6 +124,17 @@ def test_densification_stops_when_no_pair_is_left(tmp_path, capsys, fraction):
                  "--out-dir", str(tmp_path / "net")]) == 0
 
 
+def test_densification_ends_at_the_first_failed_pick():
+    # ~1M absent ordered pairs: a step that kept drawing after failed picks
+    # would fill ~876k of them, for half a minute
+    cfg = GenConfig(n0=3, steps=1, nodes_per_step=1000, m=3,
+                    extra_edge_fraction=1e9)
+    snapshots, _ = generate_evolving(cfg)
+    for g in snapshots:
+        g.audit()
+    assert 3 * 1000 < snapshots[-1].num_edges < 100_000
+
+
 def test_trivalency_probabilities():
     snaps, _ = generate_evolving(
         GenConfig(n0=5, steps=1, nodes_per_step=50, m=2,

@@ -479,6 +479,16 @@ def test_incinf_requires_enough_previous_seeds():
     assert len(res.seeds) == 3
 
 
+def test_incinf_rejects_a_repeated_previous_seed():
+    # a repeated id would hold two seats with one reference and count
+    # twice toward k
+    g = Snapshot.build(range(5), [(0, i, 0.5) for i in range(1, 5)])
+    ctx = EvolutionContext.from_stream(g, [AddNode(9)])
+    for kwargs in ({}, {"pad": True}, {"prune_enabled": False}):
+        with pytest.raises(InvalidConfig, match="previous seed 0 is repeated"):
+            incinf_select(ctx, [1, 0, 2, 0], 3, 0.1, **kwargs)
+
+
 def test_incinf_reports_prune_ratios():
     g = Snapshot.build(range(5), [(0, i, 0.5) for i in range(1, 5)])
     prev = mia_select(g, 2, 0.1)
