@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from . import analytics
@@ -18,7 +18,7 @@ from .bench import (_STATIC, parse_scenario, report_csv, report_json,
                     run_benchmark)
 from .errors import EvoinfError, InvalidConfig
 from .generate import GenConfig, generate_evolving
-from .graph import (GraphBuilder, RemoveNode, Snapshot,
+from .graph import (ChangeStream, GraphBuilder, RemoveNode, Snapshot,
                     cascade_node_removal, diff, format_change,
                     read_change_stream, write_change_stream)
 from .incremental import EvolutionContext, PruneConfig, _incinf
@@ -57,6 +57,18 @@ def _load_graph(args, suffix: str = "") -> Snapshot:
                            cascade=getattr(args, "cascade", False))
 
 
+def _apply_changes(b: GraphBuilder, changes, cascade: bool) -> ChangeStream:
+    """Apply changes to b and return them, each node removal expanded by
+    `cascade_node_removal` when `cascade` is set."""
+    applied: ChangeStream = []
+    for c in changes:
+        cascaded = cascade and isinstance(c, RemoveNode)
+        steps = cascade_node_removal(b, c.node) if cascaded else [c]
+        b.apply_all(steps)
+        applied += steps
+    return applied
+
+
 def _replay_streams(stream_dir: Path, upto: int,
                     cascade: bool = False) -> Snapshot:
     b = GraphBuilder()
@@ -64,13 +76,7 @@ def _replay_streams(stream_dir: Path, upto: int,
         path = stream_dir / f"stream_{k:04d}.txt"
         if not path.exists():
             raise EvoinfError(f"missing stream file {path}")
-        for c in read_change_stream(path):
-            if cascade and isinstance(c, RemoveNode) and b.has_node(c.node) \
-                    and (b.out_degree(c.node) or b.in_degree(c.node)):
-                for cc in cascade_node_removal(b, c.node):
-                    b.apply(cc)
-            else:
-                b.apply(c)
+        _apply_changes(b, read_change_stream(path), cascade)
     return b.freeze(upto)
 
 
@@ -138,15 +144,17 @@ def cmd_gen(args) -> int:
 
 def cmd_snapshot(args) -> int:
     g = _load_graph(args)
+    if args.ids_out and args.streams:
+        raise InvalidConfig("--ids-out needs --edges: stream files carry no "
+                            "original ids")
     if args.out:
         _write_edge_list(g, Path(args.out))
-        if args.edges and args.ids_out:
-            _, ids = load_temporal_edges(args.edges,
-                                         undirected=args.undirected)
-            write_id_map(args.ids_out, ids)
     else:
         _emit(args, f"label={g.label} nodes={g.num_nodes} "
                     f"edges={g.num_edges}")
+    if args.ids_out:
+        _, ids = load_temporal_edges(args.edges, undirected=args.undirected)
+        write_id_map(args.ids_out, ids)
     return 0
 
 
@@ -169,8 +177,9 @@ def cmd_select(args) -> int:
 def cmd_incinf(args) -> int:
     g_old = _load_graph(args, "_old")
     if args.stream:
-        ctx = EvolutionContext.from_stream(g_old,
-                                           read_change_stream(args.stream))
+        stream = _apply_changes(GraphBuilder(g_old),
+                                read_change_stream(args.stream), args.cascade)
+        ctx = EvolutionContext.from_stream(g_old, stream)
     else:
         g_new = _load_graph(args, "_new")
         ctx = EvolutionContext.from_snapshots(g_old, g_new)
@@ -268,19 +277,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="during stream replay, expand node removals "
                             "into their incident edge removals first")
 
-    # each dest is a GenConfig field name; cmd_gen builds the config by them
+    # one option per GenConfig field, --seed for master_seed, as the gen.*
+    # keys of a scenario; a field without a default is a required integer
     p = sub.add_parser("gen", help="generate an evolving network")
-    p.add_argument("--n0", type=int, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--nodes-per-step", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--prob-policy", default="trivalency")
-    p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int,
-                   default=0)
-    p.add_argument("--extra-edge-fraction", type=float, default=0.0)
-    p.add_argument("--remove-edge-fraction", type=float, default=0.0)
-    p.add_argument("--weight-change-fraction", type=float, default=0.0)
-    p.add_argument("--remove-node-count", type=int, default=0)
+    for f in fields(GenConfig):
+        name = "seed" if f.name == "master_seed" else f.name
+        required = f.default is MISSING
+        p.add_argument("--" + name.replace("_", "-"), dest=f.name,
+                       metavar=name.upper(), required=required,
+                       type=int if required else type(f.default),
+                       default=None if required else f.default)
     p.add_argument("--emit-edgelists", action="store_true")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_gen)

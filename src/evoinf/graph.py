@@ -345,21 +345,24 @@ def diff(a: Snapshot, b: Snapshot) -> ChangeStream:
     reproduces the target probability bit-exactly, and as a remove + re-add
     pair otherwise.
     """
-    stream: ChangeStream = []
-    for u in sorted(b._out.keys() - a._out.keys()):
-        stream.append(AddNode(u))
-
-    removals: list[Change] = []
-    additions: list[Change] = []
-    for u in sorted(a._out):
-        row_a = a._out[u]
-        row_b = b._out.get(u, {})
+    added: ChangeStream = []
+    removals: ChangeStream = []
+    additions: ChangeStream = []
+    gone: ChangeStream = []
+    for u in sorted(a._out.keys() | b._out.keys()):
+        row_a = a._out.get(u)
+        row_b = b._out.get(u)
+        if row_a is row_b:  # a row both snapshots share holds no change
+            continue
+        if row_a is None:
+            added.append(AddNode(u))
+            row_a = {}
+        elif row_b is None:
+            gone.append(RemoveNode(u))
+            row_b = {}
         for v in sorted(row_a):
             if v not in row_b:
                 removals.append(RemoveEdge(u, v))
-    for u in sorted(b._out):
-        row_b = b._out[u]
-        row_a = a._out.get(u, {})
         for v in sorted(row_b):
             pb = row_b[v]
             if v not in row_a:
@@ -376,12 +379,7 @@ def diff(a: Snapshot, b: Snapshot) -> ChangeStream:
                 # float addition would not land on pb exactly
                 additions.append(RemoveEdge(u, v))
                 additions.append(AddEdge(u, v, pb))
-    stream.extend(removals)
-    stream.extend(additions)
-
-    for u in sorted(a._out.keys() - b._out.keys()):
-        stream.append(RemoveNode(u))
-    return stream
+    return added + removals + additions + gone
 
 
 # -- change stream files: one change per line --

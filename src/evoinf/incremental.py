@@ -30,18 +30,8 @@ from .errors import (InsufficientSeeds, InvalidConfig, PreconditionViolation,
 from .graph import (AddEdge, AddNode, AddWeight, Change, ChangeStream,
                     DecWeight, GraphBuilder, RemoveEdge, RemoveNode, Snapshot,
                     apply_all, diff)
-from .localize import _check_theta, local_region, theta_floor
-from .select import MiaSelector, SeedResult, _start, mia_select
-
-
-def _end_theta(p: float, floor: float) -> float:
-    """Threshold of an endpoint region of an edge with probability p.
-
-    The region keeps every node whose path through the edge clears the
-    floor, with a 1e-9 relative slack for product rounding. p >= floor keeps
-    the threshold inside (0, 1).
-    """
-    return (floor / p) * (1.0 - 1e-9)
+from .localize import _check_theta, _search, theta_floor
+from .select import MiaSelector, SeedResult, _celf, _start, mia_select
 
 
 @dataclass
@@ -280,9 +270,10 @@ def accumulate_deltas(ctx: EvolutionContext, seeds, theta: float
             p = g.prob(a, b)
             if p >= floor and p > top_p.get(a, 0.0):
                 top_p[a] = p
+        # every path through (a, b) that clears the floor, with a 1e-9
+        # relative slack for product rounding; p >= floor keeps the cut < 1
         for a, p in top_p.items():
-            affected.update(
-                local_region(g, a, "in", _end_theta(p, floor)).members)
+            affected.update(_search(g, a, floor / p * (1.0 - 1e-9), "in"))
 
     spread_new = MiaSelector(g_new, theta).base  # = mia_spread(g, v, ())
     spread_old = MiaSelector(g_old, theta).base
@@ -343,8 +334,9 @@ def incinf_select(ctx: EvolutionContext, prev, k: int, theta: float,
     `prev`, which lists distinct nodes of the old snapshot, padded from
     `mia_select` when `pad` is set, never from `cfg.prev_seeds`.
 
-    With `prune_enabled=False` every node of the new graph is a candidate,
-    which makes the output identical to `mia_select` on the new snapshot.
+    With `prune_enabled=False` every node of the new graph is a candidate in
+    every round: it runs `mia_select`'s loop on the new snapshot, so the
+    output is `mia_select`'s.
     """
     return _incinf(ctx, prev, k, theta, cfg, prune_enabled, pad)[0]
 
@@ -380,27 +372,26 @@ def _incinf(ctx: EvolutionContext, prev, k: int, theta: float,
 
     table = accumulate_deltas(ctx, frozenset(), theta)
     selector = MiaSelector(g_new, theta)
-    all_nodes = list(g_new.nodes())
-    gains: list[float] = []
-    ratios: list[float] = []
-
-    for i in range(1, k + 1):
-        if prune_enabled:
+    if not prune_enabled:
+        # every node is a candidate in every round: the static loop
+        gains = _celf(g_new.nodes(), k, selector.gain, selector.add_seed)
+        ratios = [1.0] * k
+    else:
+        gains, ratios = [], []
+        for i in range(1, k + 1):
             cand = prune(table, cfg, ctx, i)
             chosen = set(selector.seeds)
             if not (cand - chosen):
-                # this seat's reference seed was already taken for an earlier
-                # seat: fall back to the previous seeds not yet chosen
+                # the seat's reference seed was taken for an earlier seat:
+                # fall back to the previous seeds not yet chosen
                 cand = {s for s in prev_seeds
                         if s not in chosen and g_new.has_node(s)}
             if not cand:
-                cand = set(all_nodes) - chosen
-        else:
-            cand = all_nodes
-        ratios.append(len(cand) / g_new.num_nodes)
-        v, gain = selector.best(cand)
-        selector.add_seed(v)
-        gains.append(gain)
+                cand = set(g_new.nodes()) - chosen
+            ratios.append(len(cand) / g_new.num_nodes)
+            v, gain = selector.best(cand)
+            selector.add_seed(v)
+            gains.append(gain)
 
     res = SeedResult(selector.seeds, gains, "incinf",
                      time.perf_counter() - t0,

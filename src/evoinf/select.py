@@ -2,13 +2,12 @@
 
 `greedy_select` is the hill-climbing algorithm: K rounds, each adding the
 node with the largest estimated marginal spread. Estimates reuse one fixed
-set of live-edge samples for the whole selection, which makes the estimated
-objective genuinely monotone and submodular, so the lazy (priority-queue)
-evaluation provably selects the same sequence as exhaustive re-evaluation.
-They are `simulate_spread`'s runs, redrawn per estimate, never stored.
-
-`mia_select` ranks nodes by localized spread over theta-truncated regions
-and discounts nodes already covered by chosen seeds.
+set of live-edge samples for the whole selection (`simulate_spread`'s runs,
+redrawn per estimate, never stored), which makes the estimated objective
+genuinely monotone and submodular. `mia_select` ranks nodes by localized
+spread over theta-truncated regions and discounts nodes already covered by
+chosen seeds. Both run one lazy loop, `_celf`, which provably selects the
+same sequence as exhaustive re-evaluation.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from heapq import heappush, heappop
+from heapq import heapify, heappop, heappush
 
 from .errors import EmptyGraph, InvalidConfig
 from .graph import Snapshot, _check_snapshot
@@ -91,28 +90,34 @@ class LiveEdgeEstimator:
         return self.sigma(seed_set | {v}) - self.sigma(seed_set)
 
 
+def _celf(nodes, k: int, gain, take) -> list[float]:
+    """Lazy greedy (CELF, Leskovec et al., KDD 2007): k times, pass the node
+    of largest gain(v) to take, ties to the smaller id; return those gains.
+
+    Entries (-gain, id, seeds taken when computed) are recomputed when they
+    reach the top stale. That is exact if no gain rises as nodes are taken.
+    """
+    heap = [(-gain(v), v, 0) for v in nodes]
+    heapify(heap)
+    gains: list[float] = []
+    while len(gains) < k:
+        neg, v, at = heappop(heap)
+        if at == len(gains):
+            take(v)
+            gains.append(-neg)
+        else:
+            heappush(heap, (-gain(v), v, len(gains)))
+    return gains
+
+
 def greedy_select(g: Snapshot, k: int, runs: int, master_seed: int
                   ) -> SeedResult:
-    """Hill-climbing greedy selection with lazy marginal re-evaluation
-    (CELF, Leskovec et al., KDD 2007). Ties break to the smaller node id.
-    """
+    """Hill-climbing greedy selection by `_celf`, ties to the smaller id."""
     k, t0 = _start(g, k)
     est = LiveEdgeEstimator(g, runs, master_seed)
     seeds: list[int] = []
-    gains: list[float] = []
-    chosen: frozenset = frozenset()
-    # entries: (-gain, node, n_seeds_when_computed)
-    heap: list[tuple[float, int, int]] = []
-    for v in g.nodes():
-        heappush(heap, (-est.marginal(v, chosen), v, 0))
-    while len(seeds) < k:
-        neg, v, at = heappop(heap)
-        if at == len(seeds):
-            seeds.append(v)
-            gains.append(-neg)
-            chosen = chosen | {v}
-        else:
-            heappush(heap, (-est.marginal(v, chosen), v, len(seeds)))
+    gains = _celf(g.nodes(), k, lambda v: est.marginal(v, frozenset(seeds)),
+                  seeds.append)
     return SeedResult(seeds, gains, "greedy", time.perf_counter() - t0,
                       {"k": k, "runs": runs, "seed": master_seed})
 
@@ -179,33 +184,25 @@ class MiaSelector:
 
         The candidates may come in any order.
         """
-        cached_base, base = self._base.get, self.base
-        penalty, chosen = self._penalty.get, self._seed_set
-        best_v, best_gain = None, None
-        for v in candidates:
-            if v in chosen:
-                continue
-            b = cached_base(v)  # after the first round every base is cached
-            if b is None:
-                b = base(v)
-            gain = b - penalty(v, 0.0)
-            if (best_gain is None or gain > best_gain
-                    or (gain == best_gain and v < best_v)):
-                best_v, best_gain = v, gain
-        if best_v is None:
+        gain = self.gain
+        ranked = [(-gain(v), v) for v in candidates if v not in self._seed_set]
+        if not ranked:
             raise EmptyGraph("no candidates left to select from")
-        return best_v, best_gain
+        neg, v = min(ranked)
+        return v, -neg
 
 
 def mia_select(g: Snapshot, k: int, theta: float) -> SeedResult:
-    """K rounds of argmax over localized marginal spread."""
+    """K rounds of argmax over localized marginal spread, by `_celf`.
+
+    No gain rises as seeds are added, in floats too: a new seed adds a
+    factor <= 1 to a node's failure product, shrinks one, or sets the node
+    to 1, so no ap(j) falls (rounding is monotone), and every penalty
+    update adds a term >= 0.
+    """
     k, t0 = _start(g, k, theta)
     sel = MiaSelector(g, theta)
-    gains: list[float] = []
-    for _ in range(k):
-        v, gain = sel.best(g.nodes())
-        sel.add_seed(v)
-        gains.append(gain)
+    gains = _celf(g.nodes(), k, sel.gain, sel.add_seed)
     return SeedResult(sel.seeds, gains, "mia", time.perf_counter() - t0,
                       {"k": k, "theta": theta})
 

@@ -34,7 +34,7 @@ from evoinf import (AddEdge, AddNode, AddWeight, DecWeight, DeltaTable,
                     RemoveNode, Snapshot, delta_add_edge, delta_node,
                     delta_remove_edge)
 from evoinf.localize import theta_floor
-from evoinf.select import LiveEdgeEstimator
+from evoinf.select import LiveEdgeEstimator, MiaSelector
 
 
 def fold_kernels(ctx, theta: float) -> DeltaTable:
@@ -76,6 +76,20 @@ def greedy_exhaustive(g, k: int, runs: int, master_seed: int
         chosen = chosen | {best_v}
         remaining.remove(best_v)
     return seeds, gains
+
+
+def mia_full_scan(g, k: int, theta: float
+                  ) -> tuple[list[int], list[float]]:
+    """MIA selection as first written, the oracle of the lazy loop: K rounds
+    of `MiaSelector.best` over every node, then `add_seed`. Returns (seeds,
+    marginal gains)."""
+    sel = MiaSelector(g, theta)
+    gains = []
+    for _ in range(min(k, g.num_nodes)):
+        v, gain = sel.best(g.nodes())
+        sel.add_seed(v)
+        gains.append(gain)
+    return sel.seeds, gains
 
 
 def reference_search(g, root: int, theta: float, direction: str) -> dict:

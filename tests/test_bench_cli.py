@@ -284,6 +284,17 @@ def test_cli_snapshot_from_edge_list(tmp_path, capsys):
     assert ids_file.read_text() == "a\t0\nb\t1\nc\t2\n"
 
 
+def test_cli_snapshot_ids_out_without_out(tmp_path, capsys):
+    # the id map is written whether the snapshot goes to a file or not
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("a\tb\t1\t0.5\nb\tc\t2\t0.5\n")
+    ids_file = tmp_path / "ids.tsv"
+    assert run_cli("snapshot", "--edges", str(edges), "--at", "2",
+                   "--ids-out", str(ids_file)) == 0
+    assert "nodes=3" in capsys.readouterr().out
+    assert ids_file.read_text() == "a\t0\nb\t1\nc\t2\n"
+
+
 def test_cli_analyze(tmp_path, capsys):
     out_dir = tmp_path / "net"
     run_cli("gen", "--n0", "6", "--steps", "2", "--nodes-per-step", "40",
@@ -346,6 +357,35 @@ def test_cli_cascade_node_removal_on_replay(tmp_path, capsys):
     assert run_cli("snapshot", "--streams", str(streams), "--at", "1",
                    "--cascade") == 0
     assert "nodes=2" in capsys.readouterr().out
+
+
+def test_cli_cascade_covers_a_stream_file(tmp_path, capsys):
+    # a bare removal of a node with edges cascades alike in a stream
+    # directory and in an incinf --stream file
+    net = tmp_path / "net"
+    assert run_cli("gen", "--n0", "10", "--steps", "3", "--nodes-per-step",
+                   "20", "--m", "2", "--remove-node-count", "2",
+                   "--extra-edge-fraction", "0.3", "--seed", "4",
+                   "--out-dir", str(net)) == 0
+    (net / "stream_0003.txt").write_text("RN 4\n")
+    change = tmp_path / "rn4.txt"
+    change.write_text("RN 4\n")
+    capsys.readouterr()
+    assert run_cli("snapshot", "--streams", str(net), "--at", "3",
+                   "--cascade") == 0
+    capsys.readouterr()
+    common = ("incinf", "--streams-old", str(net), "--at-old", "2",
+              "--prev-seeds", "10,11", "--k", "2")
+    assert run_cli(*common, "--stream", str(change)) == 1
+    assert error_record(capsys)["error"] == "PreconditionViolation"
+    assert run_cli(*common, "--stream", str(change), "--cascade") == 0
+    from_file = json.loads(capsys.readouterr().out)
+    assert run_cli(*common, "--streams-new", str(net), "--at-new", "3",
+                   "--cascade") == 0
+    from_dir = json.loads(capsys.readouterr().out)
+    assert 4 not in from_file["seeds"]
+    assert from_file["seeds"] == from_dir["seeds"]
+    assert from_file["marginal_gains"] == from_dir["marginal_gains"]
 
 
 def test_cli_machine_readable_errors(tmp_path, capsys):
@@ -507,6 +547,17 @@ def test_cli_malformed_seed_list_is_json_error(tmp_path, tiny_streams,
     extra = [option, spec] if option else []
     assert run_cli(*graph, *extra) == 1
     assert error_record(capsys)["error"] == "InvalidConfig"
+
+
+def test_cli_snapshot_ids_out_needs_an_edge_list(tmp_path, tiny_streams,
+                                                 capsys):
+    # replayed streams carry no original ids: an error, not a silent no-op
+    ids_file = tmp_path / "ids.tsv"
+    assert run_cli("snapshot", "--streams", str(tiny_streams), "--at", "1",
+                   "--out", str(tmp_path / "s.tsv"),
+                   "--ids-out", str(ids_file)) == 1
+    assert error_record(capsys)["error"] == "InvalidConfig"
+    assert not ids_file.exists()
 
 
 def test_cli_incinf_rejects_a_repeated_previous_seed(tiny_streams, capsys):

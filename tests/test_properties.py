@@ -1,4 +1,5 @@
-"""Property tests of the theta search, the delta table and diff/apply.
+"""Property tests of the theta search, the delta table, diff/apply and the
+lazy selection loop.
 
 Graphs and streams are drawn with hypothesis: every one of the six change
 kinds, tie-heavy probabilities (0.25, 0.5, 1.0, whose products land exactly
@@ -13,11 +14,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from evoinf import (AddEdge, AddNode, AddWeight, DecWeight,
                     EvolutionContext, GenConfig, GraphBuilder,
-                    PreconditionViolation, RemoveEdge, accumulate_deltas,
-                    apply_all, cascade_node_removal, diff, generate_evolving,
-                    local_region, mia_spread)
+                    PreconditionViolation, RemoveEdge, Snapshot,
+                    accumulate_deltas, apply_all, cascade_node_removal, diff,
+                    generate_evolving, incinf_select, local_region,
+                    mia_select, mia_spread)
 from evoinf.localize import theta_floor
-from conftest import fold_kernels, reference_search
+from evoinf.select import MiaSelector
+from conftest import fold_kernels, mia_full_scan, reference_search
 
 THETAS = (0.25, 0.1, 0.01)
 KINDS = ("an", "rn", "ae", "re", "aw", "dw")
@@ -201,3 +204,56 @@ def test_folded_kernels_match_static_differencing_and_lifecycle(case):
     table = accumulate_deltas(ctx, frozenset(), theta)
     assert (table.born, table.removed) == (kernel.born, kernel.removed)
     assert table.born | table.removed <= table.values.keys()
+
+
+@st.composite
+def star_motif_graphs(draw):
+    """(g, theta, k): copies of one star motif at scattered ids, so whole
+    groups of nodes tie exactly, plus a few random edges that break some of
+    the ties; every probability is 0.25, 0.5 or 1.0."""
+    theta = draw(st.sampled_from((0.1, 0.01)))
+    probs = st.sampled_from((0.25, 0.5, 1.0))
+    leaves, copies, p = (draw(st.integers(1, 4)), draw(st.integers(2, 5)),
+                         draw(probs))
+    size = leaves + 1
+    n = copies * size + draw(st.integers(0, 6))
+    ids = draw(st.permutations(range(n)))
+    edges = {(ids[c * size], ids[c * size + i]): p
+             for c in range(copies) for i in range(1, size)}
+    for u, v, q in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                           st.integers(0, n - 1), probs),
+                                 max_size=n)):
+        if u != v:
+            edges[u, v] = q
+    g = Snapshot.build(range(n), [(u, v, q) for (u, v), q in edges.items()])
+    return g, theta, draw(st.integers(1, n))
+
+
+@PROPERTY
+@given(star_motif_graphs())
+def test_lazy_selection_equals_the_full_scan_on_ties(case):
+    # seed for seed and gain for gain, floats compared with ==
+    g, theta, k = case
+    want = mia_full_scan(g, k, theta)
+    got = mia_select(g, k, theta)
+    assert (got.seeds, got.marginal_gains) == want
+    ctx = EvolutionContext.from_snapshots(Snapshot.build(g.nodes()), g)
+    inc = incinf_select(ctx, [], k, theta, prune_enabled=False)
+    assert (inc.seeds, inc.marginal_gains) == want
+
+
+@PROPERTY
+@given(st.one_of(star_motif_graphs(),
+                 tie_graphs().map(lambda case: (*case, case[0].num_nodes))),
+       st.randoms(use_true_random=False))
+def test_no_mia_gain_rises_when_a_seed_is_added(case, rng):
+    # the premise that makes the lazy loop exact for MIA, in floats
+    g, theta, k = case
+    sel = MiaSelector(g, theta)
+    order = sorted(g.nodes())
+    rng.shuffle(order)
+    for s in order[:k]:
+        before = {v: sel.gain(v) for v in g.nodes()}
+        sel.add_seed(s)
+        for v, gain in before.items():
+            assert sel.gain(v) <= gain, (s, v)
